@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 
 import numpy as np
-from scipy.stats import qmc
 
 from .expressions import (
     Constant,
@@ -260,6 +259,9 @@ def domain_grid(n, r, n_points=256, extra_points=()):
             raise ValueError("extra points must have dimension n")
         pts.append(p)
     if n_points > 0:
+        # scipy.stats is slow to import; only this grid needs it
+        from scipy.stats import qmc
+
         sampler = qmc.Halton(d=n, scramble=False)
         accepted = []
         # rejection from the cube; fine for the small n used here

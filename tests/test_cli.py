@@ -192,3 +192,26 @@ def test_experiment_byte_identical_across_thread_counts(tmp_path):
     assert a == b
     report = json.loads(a)
     assert report["checks"]["empirical_le_certified"]
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, chenfliess.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def test_absolute_loss_experiment_byte_identical_across_thread_counts(tmp_path):
+    config = {
+        "system": "bilinear2d", "order": 2, "loss": "absolute", "noise": 0.05,
+        "n_train": 50, "n_test": 50, "delta": 0.05, "seed": 34,
+        "n_controls": 16, "n_eps": 32,
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    a = _run_experiment_subprocess(cfg, tmp_path / "a.json", threads=1)
+    b = _run_experiment_subprocess(cfg, tmp_path / "b.json", threads=4)
+    assert a == b
+    report = json.loads(a)
+    assert report["erm"]["solver"] == "linprog-highs"
+    assert report["erm"]["converged"]

@@ -210,6 +210,82 @@ def test_erm_nonconvergence_reported(tmp_path):
     assert model.grad_norm > 0.0
 
 
+def _squared_oracle(model, data):
+    """(optimal risk, optimality violation at the fit): the optimum comes
+    from scipy's bounded-variable least squares, an independent oracle for
+    the Gram-form solver; the violation is the unit-step projected
+    gradient at model.theta, recomputed here, which vanishes exactly at a
+    box-constrained optimum."""
+    from scipy.optimize import lsq_linear
+
+    _, Phi = feature_matrix(model.sys, data.x, model.K)
+    scale = math.sqrt(data.N)
+    sol = lsq_linear(Phi / scale, data.y / scale,
+                     bounds=(-model.box, model.box), method="bvls")
+    assert sol.success
+    grad = 2.0 * Phi.T @ (Phi @ model.theta - data.y) / data.N
+    step = model.theta - np.clip(model.theta - grad, -model.box, model.box)
+    return float(((data.y - Phi @ sol.x) ** 2).mean()), float(np.max(np.abs(step)))
+
+
+def test_erm_squared_matches_bvls_with_active_box():
+    # doubled planted labels push the optimum out of the box, so some
+    # coefficients end on their bounds
+    built = builtin_system("bilinear2d")
+    planted, _ = make_dataset(built.spec, built.family, 120, 3, seed=5)
+    data = Dataset(planted.x, 2.0 * planted.y, planted.r, 2.0 * planted.m1)
+    model = erm_fit(data, built.spec, 3, loss="squared", seed=5)
+    assert model.converged and model.n_iter < 200_000
+    assert model.solver == "fista"
+    assert np.sum(np.abs(model.theta) == model.box) >= 1
+    assert np.all(np.abs(model.theta) <= model.box)
+    oracle, violation = _squared_oracle(model, data)
+    assert oracle > 0.1
+    assert model.train_risk == pytest.approx(oracle, rel=1e-10)
+    assert violation <= 1e-11
+
+
+def test_erm_squared_matches_bvls_on_ill_conditioned_analytic():
+    built = builtin_system("analytic1d")
+    data, _ = make_dataset(built.spec, built.family, 200, 4, seed=7)
+    model = erm_fit(data, built.spec, 4, loss="squared", seed=7)
+    assert model.converged and model.n_iter < 200_000
+    oracle, violation = _squared_oracle(model, data)
+    assert model.train_risk <= oracle + 1e-12 * float((data.y**2).mean())
+    assert violation <= 1e-11
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0, -2.0])
+def test_erm_absolute_loss_is_exact_lp(scale):
+    # |scale| = 2 pushes the optimum against the box, so the gap needs the
+    # upper (scale 2) or lower (scale -2) bound multipliers too
+    built = builtin_system("bilinear2d")
+    sys = built.spec
+    noisy, _ = make_dataset(sys, built.family, 80, 3, seed=9, noise=0.05)
+    data = Dataset(noisy.x, scale * noisy.y, noisy.r, abs(scale) * noisy.m1)
+    model = erm_fit(data, sys, 3, loss="absolute", seed=9)
+    assert model.converged and model.n_iter < 200_000
+    assert model.solver == "linprog-highs"
+    assert model.kkt_residual <= 1e-9
+    assert np.all(np.abs(model.theta) <= model.box)
+    if abs(scale) > 1.0:
+        assert np.sum(np.abs(model.theta) == model.box) >= 1
+    squared = erm_fit(data, sys, 3, loss="squared", seed=9)
+    _, Phi = feature_matrix(sys, data.x, 3)
+    at_squared = float(np.abs(data.y - Phi @ squared.theta).mean())
+    assert model.train_risk <= at_squared
+    assert model.train_risk <= float(np.abs(data.y).mean())
+
+
+def test_erm_absolute_iteration_cap_reported():
+    built = builtin_system("bilinear2d")
+    data, _ = make_dataset(built.spec, built.family, 80, 3, seed=9, noise=0.05)
+    model = erm_fit(data, built.spec, 3, loss="absolute", seed=9, max_iter=3)
+    assert not model.converged
+    assert model.n_iter <= 3
+    assert np.all(np.abs(model.theta) <= model.box)
+
+
 def test_signatures_live_inside_coefficient_box():
     built = builtin_system("bilinear2d")
     sys = built.spec
@@ -241,7 +317,11 @@ BASE_CONFIG = {
 
 def test_experiment_report_complete_and_consistent():
     report = generalization_experiment(dict(BASE_CONFIG))
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
+    erm = report["erm"]
+    assert erm["solver"] == "fista"
+    assert erm["converged"] and 0 < erm["n_iter"] < 200_000
+    assert 0.0 <= erm["kkt_residual"] <= 1e-12
     assert report["checks"]["empirical_le_certified"]
     assert report["risks"]["train"] <= 1e-8
     cert = report["certified"]
