@@ -99,6 +99,7 @@ from .signatures import (
     SignatureTable,
     constant_path,
     signature_entry,
+    signature_matrix,
     signature_norm_bound,
     signature_up_to,
 )

@@ -38,7 +38,8 @@ from .expressions import Expr, eval_expr
 from .families import family_from_json_dict
 from .lie import LieTable, check_word_cap, warn_if_c_not_unit, words_up_to
 from .series import feature_expr
-from .signatures import ControlPath, signature_norm_bound, signature_up_to
+from .signatures import ControlPath, signature_matrix, signature_norm_bound, \
+    signature_up_to
 from .systems import builtin_system, load_system_file
 
 SCHEMA_VERSION = 2
@@ -248,12 +249,9 @@ def empirical_rademacher(data, sys, K, n_controls, n_eps, seed, pieces=3,
     if n_controls < 1 or n_eps < 1:
         raise ValueError("need n_controls >= 1 and n_eps >= 1")
     words, Phi = feature_matrix(sys, data.x, K, word_cap=word_cap)
-    sigs = np.empty((n_controls, len(words)))
-    for c in range(n_controls):
-        rng = np.random.default_rng([seed, 1, c])
-        u = random_control_path(rng, sys.m, sys.M, sys.T, pieces)
-        table = signature_up_to(u, K, word_cap=word_cap)
-        sigs[c] = [table[w] for w in words]
+    paths = [random_control_path(np.random.default_rng([seed, 1, c]), sys.m,
+                                 sys.M, sys.T, pieces) for c in range(n_controls)]
+    sigs = signature_matrix(paths, K, word_cap=word_cap)
     parity = np.array([(-1.0) ** len(w) for w in words])
     stack = np.vstack([sigs, sigs * parity[None, :]])
     vals = det_matmul(stack, Phi.T)  # (2 n_controls, N)
@@ -396,7 +394,9 @@ class FittedModel:
             "converged": self.converged,
             "grad_norm": float(self.grad_norm),
             "solver": self.solver,
-            "kkt_residual": float(self.kkt_residual),
+            # null when an LP stopped without a solution left it infinite
+            "kkt_residual": (float(self.kkt_residual)
+                             if math.isfinite(self.kkt_residual) else None),
         }
 
 
@@ -632,6 +632,7 @@ def generalization_experiment(config):
     N = train.N
 
     model = erm_fit(train, sys_spec, K, loss=loss, seed=seed)
+    fitted = model.to_json_dict()
     train_risk = model.train_risk
     test_risk = model.risk(test.x, test.y) if test is not None else None
 
@@ -698,12 +699,8 @@ def generalization_experiment(config):
             "T": sys_spec.T,
         },
         "seed": seed,
-        "erm": {
-            "solver": model.solver,
-            "n_iter": model.n_iter,
-            "converged": model.converged,
-            "kkt_residual": float(model.kkt_residual),
-        },
+        "erm": {key: fitted[key]
+                for key in ("solver", "n_iter", "converged", "kkt_residual")},
         "risks": {
             "train": float(train_risk),
             "test": None if test_risk is None else float(test_risk),
@@ -724,5 +721,5 @@ def generalization_experiment(config):
 
 def report_to_json(report):
     """Canonical JSON for reports: sorted keys, newline-terminated, byte
-    reproducible for a fixed config and seed."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    reproducible for a fixed config and seed; non-finite floats raise."""
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"

@@ -242,10 +242,12 @@ def iterated_lie(table, w):
 def domain_grid(n, r, n_points=256, extra_points=()):
     """Deterministic sample of the Euclidean ball of radius r.
 
-    Halton points in the enclosing cube, rejected to the ball, plus the 2n
-    axis points +/- r e_j and any caller-supplied extra points. The result
-    is a lower-estimate sampling plan: maxima over it approach the true
-    sup from below.
+    The 2n axis points +/- r e_j, any caller-supplied extra points, then
+    unscrambled Halton points in n + 1 dimensions (the all-zero first one
+    skipped) mapped into the ball: radius r v^(1/n) from the first
+    coordinate v, direction from Gaussian quantiles of the other n. A
+    lower-estimate sampling plan: maxima over it approach the sup from
+    below.
     """
     pts = []
     for j in range(n):
@@ -260,17 +262,14 @@ def domain_grid(n, r, n_points=256, extra_points=()):
         pts.append(p)
     if n_points > 0:
         # scipy.stats is slow to import; only this grid needs it
+        from scipy.special import ndtri
         from scipy.stats import qmc
 
-        sampler = qmc.Halton(d=n, scramble=False)
-        accepted = []
-        # rejection from the cube; fine for the small n used here
-        while len(accepted) < n_points:
-            batch = sampler.random(max(2 * n_points, 64))
-            cube = (2.0 * batch - 1.0) * r
-            keep = np.linalg.norm(cube, axis=1) <= r
-            accepted.extend(cube[keep])
-        pts.extend(accepted[:n_points])
+        h = qmc.Halton(d=n + 1, scramble=False).fast_forward(1).random(n_points)
+        # odd prime bases never give 1/2, so no direction is zero
+        z = ndtri(h[:, 1:])
+        pts.extend(z / np.linalg.norm(z, axis=1, keepdims=True)
+                   * (r * h[:, :1] ** (1.0 / n)))
     return np.array(pts)
 
 

@@ -1,11 +1,11 @@
 """Iterated integrals of piecewise-constant controls over the simplex.
 
 The entry for a word w = (i1, ..., ik) is the integral of
-u_{i1}(t1) * ... * u_{ik}(tk) over 0 <= t1 <= ... <= tk <= T, computed
-exactly: with piecewise-constant u the running integrals
-F_j(t) = int_0^t u_{ij}(s) F_{j-1}(s) ds are polynomials of degree <= j
-on each piece, so coefficients are propagated in closed form across
-breakpoints and the only error is floating-point rounding.
+u_{i1}(t1) * ... * u_{ik}(tk) over 0 <= t1 <= ... <= tk <= T. A piece of
+length dt and constant value u has the truncated exponential exp(dt u)
+as its signature, and Chen's identity (K.-T. Chen, 1954) multiplies the
+pieces' signatures in the truncated tensor algebra, so entries are exact
+up to floating-point rounding.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ import json
 import math
 from dataclasses import dataclass
 
-from .lie import check_word_cap, validate_word
+import numpy as np
+
+from .lie import check_word_cap, validate_word, words_up_to
 
 
 @dataclass(frozen=True)
@@ -123,44 +125,74 @@ def signature_norm_bound(M, T, k):
 
 
 # ---------------------------------------------------------------------------
-# Exact propagation
-
-# A "stream" is the running integral F_j represented per piece as local
-# polynomial coefficients in s = t - t_p, plus the value at T.
+# Chen's identity
 
 
-def _horner(coeffs, s):
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * s + c
-    return acc
+def _assert_simplex_bound(S, lengths, M, T, words=None):
+    """Hard invariant: |S[b, j]| <= (M_b T_b)^k / k! for k = lengths[j],
+    with 1e-12 relative headroom because bound-saturating paths land
+    within an ulp of equality. `words`, if given, names column j."""
+    levels = range(int(np.max(lengths, initial=0)) + 1)
+    per_path = {mt: [signature_norm_bound(*mt, k) for k in levels]
+                for mt in set(zip(M, T))}
+    bounds = np.array([per_path[mt] for mt in zip(M, T)])[:, lengths]
+    bad = np.abs(S) > bounds * (1 + 1e-12) + 1e-300
+    if bad.any():
+        b, j = np.argwhere(bad)[0]
+        raise AssertionError(f"|S^{words[j] if words else j}| = {abs(S[b, j])} "
+                             f"violates the simplex bound {bounds[b, j]}")
 
 
-def _unit_stream(path):
-    return [[1.0] for _ in range(path.pieces)]
+def signature_matrix(paths, K, word_cap=200_000):
+    """(B, W) signatures of B paths, columns in words_up_to(m, K) order
+    (level k is the C-order (B, m^k) block, first letter slowest).
 
-
-def _extend_stream(path, stream, channel):
-    """F_new(t) = int_0^t u_channel(s) F_prev(s) ds, piecewise closed form."""
-    out = []
-    start = 0.0
-    bp = path.breakpoints
-    for p, coeffs in enumerate(stream):
-        v = path.values[p][channel - 1]
-        new = [start] + [v * c / (j + 1) for j, c in enumerate(coeffs)]
-        out.append(new)
-        start = _horner(new, bp[p + 1] - bp[p])
-    return out, start
+    A piece of length dt and value u has level-j signature
+    E_j = (dt u)^{(x)j} / j!; level k becomes sum_{i <= k} L_i (x) E_{k-i},
+    in Horner form. Shorter paths get zero-length pieces, which is exact
+    (E_0 = 1, E_j = 0 for j > 0). Broadcast products only (no BLAS), so
+    results do not depend on the thread count; every row is checked
+    against its path's simplex bound."""
+    paths = list(paths)
+    if K < 0:
+        raise ValueError("need K >= 0")
+    if len({u.m for u in paths}) != 1:
+        raise ValueError("need one or more paths with the same channel count")
+    m = paths[0].m
+    check_word_cap(m, K, word_cap)
+    B = len(paths)
+    steps = np.zeros((max(u.pieces for u in paths), B, m))  # dt * u per piece
+    for b, u in enumerate(paths):
+        if u.pieces:
+            steps[: u.pieces, b] = np.diff(u.breakpoints)[:, None] * u.values
+    sizes = [m**k for k in range(K + 1)]
+    levels = [np.ones((B, 1))] + [np.zeros((B, size)) for size in sizes[1:]]
+    for x in steps[:, :, None, :]:
+        for k in range(K, 0, -1):  # descending: levels below k are still old
+            acc = levels[0]
+            for i in range(1, k + 1):
+                acc = (acc[:, :, None] * x).reshape(B, -1) / (k - i + 1) + levels[i]
+            levels[k] = acc
+    S = np.concatenate(levels, axis=1)
+    lengths = np.repeat(np.arange(K + 1), sizes)
+    _assert_simplex_bound(S, lengths, [u.M for u in paths], [u.T for u in paths])
+    return S
 
 
 def signature_entry(u, w):
-    """Exact signature entry for one word."""
+    """Exact signature entry for one word: the Chen product of
+    signature_matrix restricted to the prefixes of w, O(pieces |w|^2)
+    with no word enumeration."""
     w = validate_word(w, u.m)
-    stream = _unit_stream(u)
-    value = 1.0
-    for i in w:
-        stream, value = _extend_stream(u, stream, i)
-    return value
+    prefix = [1.0] + [0.0] * len(w)  # entries for w[:k] of the path so far
+    for dt, row in zip(np.diff(u.breakpoints), u.values):
+        x = [dt * row[i - 1] for i in w]
+        for k in range(len(w), 0, -1):
+            acc = prefix[0]
+            for i in range(1, k + 1):
+                acc = acc * x[i - 1] / (k - i + 1) + prefix[i]
+            prefix[k] = acc
+    return float(prefix[-1])
 
 
 @dataclass
@@ -176,14 +208,9 @@ class SignatureTable:
     def __post_init__(self):
         if self.entries.get(()) != 1.0:
             raise AssertionError("empty-word entry must be exactly 1")
-        for w, s in self.entries.items():
-            bound = signature_norm_bound(self.M, self.T, len(w))
-            # 1e-12 relative headroom: bound-saturating paths land within
-            # an ulp of equality
-            if abs(s) > bound * (1 + 1e-12) + 1e-300:
-                raise AssertionError(
-                    f"|S^{w}| = {abs(s)} violates the simplex bound {bound}"
-                )
+        words = list(self.entries)
+        _assert_simplex_bound(np.array([list(self.entries.values())]),
+                              [len(w) for w in words], [self.M], [self.T], words)
 
     def __getitem__(self, w):
         return self.entries[tuple(w)]
@@ -216,24 +243,8 @@ class SignatureTable:
 
 
 def signature_up_to(u, K, word_cap=200_000):
-    """All entries for |w| <= K via depth-first prefix sharing.
-
-    Streams for a word prefix are computed once and reused by all its
-    extensions, so the cost is one polynomial integration per node of the
-    word tree.
-    """
-    if K < 0:
-        raise ValueError("need K >= 0")
-    check_word_cap(u.m, K, word_cap)
-    entries = {(): 1.0}
-
-    def visit(word, stream):
-        if len(word) == K:
-            return
-        for i in range(1, u.m + 1):
-            ext, value = _extend_stream(u, stream, i)
-            entries[word + (i,)] = value
-            visit(word + (i,), ext)
-
-    visit((), _unit_stream(u))
+    """All entries for |w| <= K: row 0 of signature_matrix([u], K), the
+    Chen product of the truncated exponentials of u's pieces."""
+    row = signature_matrix([u], K, word_cap=word_cap)[0]
+    entries = dict(zip(words_up_to(u.m, K), row.tolist()))
     return SignatureTable(m=u.m, K=K, M=u.M, T=u.T, entries=entries)

@@ -23,6 +23,7 @@ from chenfliess import (
     sample_ball,
     signature_up_to,
 )
+from chenfliess import learning
 from chenfliess.learning import coefficient_box
 from chenfliess.lie import words_up_to
 
@@ -284,6 +285,36 @@ def test_erm_absolute_iteration_cap_reported():
     assert not model.converged
     assert model.n_iter <= 3
     assert np.all(np.abs(model.theta) <= model.box)
+
+
+def _strict_loads(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_failed_lp_writes_strict_json(monkeypatch):
+    built = builtin_system("bilinear2d")
+    data, _ = make_dataset(built.spec, built.family, 80, 3, seed=9, noise=0.05)
+    model = erm_fit(data, built.spec, 3, loss="absolute", seed=9, max_iter=3)
+    assert math.isinf(model.kkt_residual)  # HiGHS stopped without a solution
+    assert _strict_loads(report_to_json(model.to_json_dict()))["kkt_residual"] is None
+
+    fit = learning.erm_fit
+    monkeypatch.setattr(learning, "erm_fit",
+                        lambda *a, **k: fit(*a, **{**k, "max_iter": 3}))
+    report = generalization_experiment(
+        dict(BASE_CONFIG, loss="absolute", noise=0.05))
+    erm = _strict_loads(report_to_json(report))["erm"]
+    assert erm["kkt_residual"] is None
+    assert not erm["converged"]
+
+
+def test_report_to_json_rejects_non_finite_floats():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            report_to_json({"value": bad})
 
 
 def test_signatures_live_inside_coefficient_box():

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -199,3 +201,13 @@ def test_domain_grid_deterministic():
     g1 = domain_grid(2, 1.0, n_points=25)
     g2 = domain_grid(2, 1.0, n_points=25)
     assert np.array_equal(g1, g2)
+
+
+def test_domain_grid_high_dimension_without_rejection():
+    domain_grid(2, 1.0, n_points=1)  # the first call pays for the scipy import
+    start = time.perf_counter()
+    grid = domain_grid(20, 2.0, n_points=256)
+    assert time.perf_counter() - start < 0.25
+    assert grid.shape == (2 * 20 + 256, 20)
+    assert np.all(np.isfinite(grid))
+    assert np.all(np.linalg.norm(grid, axis=1) <= 2.0 * (1 + 1e-12))

@@ -8,7 +8,9 @@ from chenfliess import (
     ControlPath,
     ResourceCapError,
     constant_path,
+    random_control_path,
     signature_entry,
+    signature_matrix,
     signature_norm_bound,
     signature_up_to,
     words_up_to,
@@ -118,15 +120,41 @@ def test_matches_monte_carlo_simplex_integration():
 
 
 def test_matches_quadrature_recursion():
-    rng = np.random.default_rng(7)
-    for _ in range(4):
-        u = random_path(rng, 2, 1.0, 1.0)
-        table = signature_up_to(u, 4)
-        for w in table.words():
-            if len(w) == 0:
-                continue
-            want = quadrature_signature_oracle(u, w)
-            assert abs(table[w] - want) <= 1e-10
+    for m in (1, 2, 3):
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            u = random_path(rng, m, 1.0, 1.0)
+            table = signature_up_to(u, 4)
+            for w in table.words():
+                if len(w) == 0:
+                    continue
+                want = quadrature_signature_oracle(u, w)
+                assert abs(table[w] - want) <= 1e-10
+
+
+def test_signature_matrix_batch_matches_quadrature():
+    rng = np.random.default_rng(31)
+    paths = [random_control_path(rng, 2, 1.2, 0.9, pieces) for pieces in range(1, 7)]
+    paths.append(constant_path((0.4, -0.3), 0.0, M=1.2))  # T = 0: no pieces
+    K = 3
+    S = signature_matrix(paths, K)
+    words = words_up_to(2, K)
+    assert S.shape == (len(paths), len(words))
+    for u, row in zip(paths, S):
+        assert row[0] == 1.0
+        for w, got in zip(words[1:], row[1:]):
+            want = quadrature_signature_oracle(u, w) if u.pieces else 0.0
+            assert abs(got - want) <= 1e-10
+        # padding with zero-length pieces is exact
+        assert np.array_equal(row, signature_matrix([u], K)[0])
+
+
+def test_signature_entry_long_word_without_enumeration():
+    u = random_path(np.random.default_rng(5), 2, 1.0, 1.0)
+    with pytest.raises(ResourceCapError):
+        signature_up_to(u, 25)
+    want = signature_entry(u, (1,)) ** 25 / math.factorial(25)
+    assert signature_entry(u, (1,) * 25) == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +170,18 @@ def test_simplex_bound_holds_on_random_paths():
         table = signature_up_to(u, 5)  # construction asserts the bound
         for w in table.words():
             assert abs(table[w]) <= signature_norm_bound(M, T, len(w)) * (1 + 1e-12)
+
+
+def test_signature_matrix_bounds_are_per_path():
+    small = constant_path((0.1, 0.0), 0.5)
+    big = constant_path((2.0, -2.0), 2.0)  # saturates its own, larger bound
+    S = signature_matrix([small, big], 4)  # construction asserts each bound
+    lengths = [len(w) for w in words_up_to(2, 4)]
+    for u, row in zip((small, big), S):
+        bounds = np.array([signature_norm_bound(u.M, u.T, k) for k in lengths])
+        assert np.all(np.abs(row) <= bounds * (1 + 1e-12))
+    small_bounds = [signature_norm_bound(small.M, small.T, k) for k in lengths]
+    assert np.any(np.abs(S[1]) > small_bounds)
 
 
 def test_one_channel_shuffle_identity():
