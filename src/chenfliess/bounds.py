@@ -163,11 +163,20 @@ def theorem1_bound(lambdas, m, M, T, N, K=None, tail_family=None):
 # Closed forms
 
 
+def _closed_form_bound(family, m, M, T, N):
+    """family.closed_form(m, M, T) / sqrt(N); a divergent series raises
+    PreconditionError carrying the family's margin."""
+    total = family.closed_form(m, M, T)
+    if math.isinf(total):
+        margin = family.margin(m, M, T)
+        raise PreconditionError(f"series not certified convergent: {family.kind} "
+                                f"margin {margin:.6g} >= 1", margin=margin)
+    return total / math.sqrt(N)
+
+
 def bilinear_bound(r, m, M, T, a, N):
     """r exp(mMTa) / sqrt(N); defined for every M, T."""
-    if a < 0:
-        raise ValueError("need a >= 0")
-    return r * math.exp(m * M * T * a) / math.sqrt(N)
+    return _closed_form_bound(BilinearFamily(r=r, a=a), m, M, T, N)
 
 
 def analytic_bound(r, n, m, M, T, a_r, N):
@@ -175,13 +184,7 @@ def analytic_bound(r, n, m, M, T, a_r, N):
 
     Requires 2^n n mMT a_r < r, the geometric-series convergence margin.
     """
-    q = 2.0**n * n * m * M * T * a_r / r
-    if q >= 1.0:
-        raise PreconditionError(
-            f"series not certified convergent: 2^n n mMT a_r / r = {q:.6g} >= 1",
-            margin=q,
-        )
-    return (1.0 + 2.0 * math.sqrt(n)) * r / math.sqrt(N) / (1.0 - q)
+    return _closed_form_bound(AnalyticFamily(r=r, n=n, a_r=a_r), m, M, T, N)
 
 
 def hopfield_bound(r, n, M, T, a, b, N):
@@ -190,13 +193,7 @@ def hopfield_bound(r, n, M, T, a, b, N):
     Requires 4 n^2 MT b a < 1. (a, b) are the nonlinearity growth
     constants with sup |f^(k)| <= b a^k k!; the channel count is n^2.
     """
-    x = 4.0 * n * n * M * T * b * a
-    if x >= 1.0:
-        raise PreconditionError(
-            f"series not certified convergent: 4 n^2 MT b a = {x:.6g} >= 1",
-            margin=x,
-        )
-    return (r - 0.5 / a + 0.5 / (a * math.sqrt(1.0 - x))) / math.sqrt(N)
+    return _closed_form_bound(HopfieldFamily(r=r, n=n, a=a, b=b), n * n, M, T, N)
 
 
 def loss_contraction(kind, M1, M2=None, N=None, R_F=None):

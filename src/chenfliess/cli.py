@@ -13,15 +13,9 @@ import sys as _sys
 
 import numpy as np
 
-from .bounds import (
-    PreconditionError,
-    analytic_bound,
-    bilinear_bound,
-    hopfield_bound,
-    theorem1_bound,
-)
+from .bounds import PreconditionError, _closed_form_bound, theorem1_bound
 from .expressions import parse_expr, simplify, to_text
-from .families import family_from_json_dict, family_to_json_dict
+from .families import FAMILY_KINDS, family_from_json_dict, family_to_json_dict
 from .learning import (
     Dataset,
     empirical_rademacher,
@@ -150,48 +144,25 @@ def _print_bound_table(report):
 
 
 def cmd_bound(args):
-    if args.kind == "bilinear":
-        value = bilinear_bound(args.r, args.m, args.M, args.T, args.a, args.N)
-        report = {
-            "kind": "bilinear",
-            "inputs": {"r": args.r, "m": args.m, "M": args.M, "T": args.T,
-                       "a": args.a, "N": args.N},
-            "K": None, "partial_sum": value, "tail": 0.0, "total": value,
-            "precondition_ok": True,
-        }
-    elif args.kind == "analytic":
-        try:
-            value = analytic_bound(args.r, args.n, args.m, args.M, args.T,
-                                   args.a_r, args.N)
-            ok = True
-        except PreconditionError:
-            value, ok = "divergent", False
-        report = {
-            "kind": "analytic",
-            "inputs": {"r": args.r, "n": args.n, "m": args.m, "M": args.M,
-                       "T": args.T, "a_r": args.a_r, "N": args.N},
-            "K": None, "partial_sum": None, "tail": None, "total": value,
-            "precondition_ok": ok,
-        }
-    elif args.kind == "hopfield":
-        try:
-            value = hopfield_bound(args.r, args.n, args.M, args.T, args.a,
-                                   args.b, args.N)
-            ok = True
-        except PreconditionError:
-            value, ok = "divergent", False
-        report = {
-            "kind": "hopfield",
-            "inputs": {"r": args.r, "n": args.n, "M": args.M, "T": args.T,
-                       "a": args.a, "b": args.b, "N": args.N},
-            "K": None, "partial_sum": None, "tail": None, "total": value,
-            "precondition_ok": ok,
-        }
-    else:  # theorem1
+    if args.kind == "theorem1":
         family = family_from_json_dict(json.loads(args.family))
         rep = theorem1_bound(family, args.m, args.M, args.T, args.N, K=args.order)
         report = rep.to_json_dict()
         report["family"] = family_to_json_dict(family)
+    else:  # a closed form: bilinear, analytic or hopfield
+        inputs = {k: v for k, v in vars(args).items()
+                  if k not in ("command", "kind", "func", "out")}
+        cls = FAMILY_KINDS[args.kind]
+        family = cls(**{name: inputs[name] for name in cls.__dataclass_fields__})
+        m = args.n * args.n if args.kind == "hopfield" else args.m  # n^2 channels
+        try:
+            total, ok = _closed_form_bound(family, m, args.M, args.T, args.N), True
+        except PreconditionError:
+            total, ok = "divergent", False
+        report = {
+            "kind": args.kind, "inputs": inputs, "K": None, "partial_sum": None,
+            "tail": None, "total": total, "precondition_ok": ok,
+        }
     if args.out:
         _print_bound_table(report)
     _emit(report, args.out)

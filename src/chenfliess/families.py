@@ -1,14 +1,17 @@
 """Closed-form per-order bounds on the feature magnitudes and their tails.
 
 Each family bounds L_k = sup |L_w c^T x| over the domain and all words of
-length k for one structural class of systems, and can sum its own series
-tail sum_{k>K} (mMT)^k/k! * L_k either in closed form or by dominated
-summation. A divergent tail is reported as math.inf.
+length k for one structural class of systems. It is the one home of that
+class's certificate: `term(k)` is (mMT)^k/k! * L_k, `margin` the series'
+convergence ratio, `closed_form` the full sum sum_k term(k) and `tail`
+the remainder sum_{k>K} term(k) (in closed form or by dominated
+summation). A divergent sum or tail is reported as math.inf.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 _REL_TOL = 1e-15
@@ -55,16 +58,49 @@ def exp_remainder(x, K):
     return total
 
 
+_CHECKS = {">": operator.gt, ">=": operator.ge, "in": lambda v, allowed: v in allowed}
+
+
+class _Family:
+    """Shared by the families below. ``margin(m, M, T)`` is the series'
+    convergence ratio (divergent at >= 1); the convergence test and the
+    divergence guards of ``tail`` and ``closed_form`` all derive from it.
+    ``rules`` lists the (field, op, bound) checks run at construction."""
+
+    def __post_init__(self):
+        for field, op, bound in self.rules:
+            value = getattr(self, field)
+            if not _CHECKS[op](value, bound):
+                raise ValueError(f"{self.kind} family: {field} must be {op} "
+                                 f"{bound}, got {value!r}")
+
+    def convergent(self, m, M, T):
+        return self.margin(m, M, T) < 1.0
+
+    def tail(self, m, M, T, K):
+        """sum_{k>K} term(k); math.inf when the series diverges."""
+        return self._tail(m, M, T, K) if self.convergent(m, M, T) else math.inf
+
+    def closed_form(self, m, M, T):
+        """sum_k term(k) in closed form; math.inf when the series diverges."""
+        return self._sum(m, M, T) if self.convergent(m, M, T) else math.inf
+
+
 @dataclass(frozen=True)
-class BilinearFamily:
-    """L_k <= r a^k (a = max spectral norm of the channel matrices)."""
+class BilinearFamily(_Family):
+    """L_k <= r a^k (a = max spectral norm of the channel matrices); the
+    series is r e^(mMTa), convergent for every M, T (margin 0)."""
 
     r: float
     a: float
     kind = "bilinear"
+    rules = (("r", ">", 0), ("a", ">=", 0))
 
     def lambda_bound(self, k):
         return self.r * self.a**k
+
+    def margin(self, m, M, T):
+        return 0.0
 
     def term(self, k, m, M, T):
         if k == 0:
@@ -74,27 +110,29 @@ class BilinearFamily:
             return 0.0
         return self.r * math.exp(k * math.log(x) - math.lgamma(k + 1))
 
-    def convergent(self, m, M, T):
-        return True
-
-    def tail(self, m, M, T, K):
+    def _tail(self, m, M, T, K):
         return self.r * exp_remainder(m * M * T * self.a, K)
+
+    def _sum(self, m, M, T):
+        return self.r * math.exp(m * M * T * self.a)
 
 
 @dataclass(frozen=True)
-class AnalyticFamily:
+class AnalyticFamily(_Family):
     """L_k <= (1 + 2 sqrt(n)) r k! (2^n n a_r / r)^k for analytic fields,
-    a_r the componentwise maximum modulus over the polydiscs of radius 2r."""
+    a_r the componentwise maximum modulus over the polydiscs of radius 2r.
+    The margin is q = 2^n n mMT a_r / r and the series is P / (1 - q)."""
 
     r: float
     n: int
     a_r: float
     kind = "analytic"
+    rules = (("r", ">", 0), ("n", ">=", 1), ("a_r", ">=", 0))
 
     def _prefactor(self):
         return (1.0 + 2.0 * math.sqrt(self.n)) * self.r
 
-    def _ratio(self, m, M, T):
+    def margin(self, m, M, T):
         return 2.0**self.n * self.n * m * M * T * self.a_r / self.r
 
     def lambda_bound(self, k):
@@ -106,33 +144,37 @@ class AnalyticFamily:
         return self._prefactor() * math.exp(math.lgamma(k + 1) + k * math.log(rho))
 
     def term(self, k, m, M, T):
-        return self._prefactor() * self._ratio(m, M, T) ** k
+        return self._prefactor() * self.margin(m, M, T) ** k
 
-    def convergent(self, m, M, T):
-        return self._ratio(m, M, T) < 1.0
-
-    def tail(self, m, M, T, K):
-        q = self._ratio(m, M, T)
-        if q >= 1.0:
-            return math.inf
+    def _tail(self, m, M, T, K):
+        q = self.margin(m, M, T)
         return self._prefactor() * q ** (K + 1) / (1.0 - q)
+
+    def _sum(self, m, M, T):
+        return self._prefactor() / (1.0 - self.margin(m, M, T))
 
 
 @dataclass(frozen=True)
-class HopfieldFamily:
+class HopfieldFamily(_Family):
     """L_0 <= r and L_k <= gamma(k) b^k a^(k-1) for saturating nets whose
-    nonlinearity satisfies sup |f^(k)| <= b a^k k!. Channel count is n^2."""
+    nonlinearity satisfies sup |f^(k)| <= b a^k k!. Channel count is n^2.
+    With x = mMTba the margin is 4x and the series is
+    r + (1/(2a)) (1/sqrt(1 - 4x) - 1)."""
 
     r: float
     n: int
     a: float
     b: float
     kind = "hopfield"
+    rules = (("r", ">", 0), ("n", ">=", 1), ("a", ">", 0), ("b", ">=", 0))
 
     def lambda_bound(self, k):
         if k == 0:
             return self.r
         return gamma_k(k) * self.b**k * self.a ** (k - 1)
+
+    def margin(self, m, M, T):
+        return 4.0 * m * M * T * self.b * self.a
 
     def term(self, k, m, M, T):
         if k == 0:
@@ -145,13 +187,8 @@ class HopfieldFamily:
         log_term = math.lgamma(2 * k + 1) - 2 * math.lgamma(k + 1) + k * math.log(x)
         return 0.5 / self.a * math.exp(log_term)
 
-    def convergent(self, m, M, T):
-        return 4.0 * m * M * T * self.b * self.a < 1.0
-
-    def tail(self, m, M, T, K):
+    def _tail(self, m, M, T, K):
         x = m * M * T * self.b * self.a
-        if 4.0 * x >= 1.0:
-            return math.inf
         if x == 0.0:
             return 0.0
         k = K + 1 if K >= 1 else 1
@@ -165,19 +202,22 @@ class HopfieldFamily:
                 break
         return 0.5 / self.a * total
 
+    def _sum(self, m, M, T):
+        x = m * M * T * self.b * self.a
+        return self.r + 0.5 / self.a * (central_binomial_gf(x) - 1.0)
+
 
 @dataclass(frozen=True)
-class GeometricFamily:
-    """User-supplied template L_k <= C rho^k k!^s with s in {0, 1}."""
+class GeometricFamily(_Family):
+    """User-supplied template L_k <= C rho^k k!^s with s in {0, 1}. With
+    x = mMT rho the series is C e^x (s = 0, margin 0) or C / (1 - x)
+    (s = 1, margin x)."""
 
     C: float
     rho: float
     s: int = 0
     kind = "geometric"
-
-    def __post_init__(self):
-        if self.s not in (0, 1):
-            raise ValueError("s must be 0 or 1")
+    rules = (("C", ">=", 0), ("rho", ">=", 0), ("s", "in", (0, 1)))
 
     def lambda_bound(self, k):
         base = self.C * self.rho**k
@@ -187,6 +227,9 @@ class GeometricFamily:
             return base * math.factorial(k)
         return base * math.exp(math.lgamma(k + 1))
 
+    def margin(self, m, M, T):
+        return 0.0 if self.s == 0 else m * M * T * self.rho
+
     def term(self, k, m, M, T):
         x = m * M * T * self.rho
         if self.s == 1:
@@ -195,16 +238,15 @@ class GeometricFamily:
             return self.C
         return self.C * math.exp(k * math.log(x) - math.lgamma(k + 1)) if x > 0 else 0.0
 
-    def convergent(self, m, M, T):
-        return True if self.s == 0 else m * M * T * self.rho < 1.0
-
-    def tail(self, m, M, T, K):
+    def _tail(self, m, M, T, K):
         x = m * M * T * self.rho
         if self.s == 0:
             return self.C * exp_remainder(x, K)
-        if x >= 1.0:
-            return math.inf
         return self.C * x ** (K + 1) / (1.0 - x)
+
+    def _sum(self, m, M, T):
+        x = m * M * T * self.rho
+        return self.C * math.exp(x) if self.s == 0 else self.C / (1.0 - x)
 
 
 FAMILY_KINDS = {

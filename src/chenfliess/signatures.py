@@ -154,6 +154,15 @@ def signature_matrix(paths, K, word_cap=200_000):
     results do not depend on the thread count; every row is checked
     against its path's simplex bound."""
     paths = list(paths)
+    S = _chen_product(paths, K, word_cap)
+    lengths = np.repeat(np.arange(K + 1), [paths[0].m**k for k in range(K + 1)])
+    _assert_simplex_bound(S, lengths, [u.M for u in paths], [u.T for u in paths])
+    return S
+
+
+def _chen_product(paths, K, word_cap):
+    """The unchecked kernel of signature_matrix; its callers check the
+    simplex bound once."""
     if K < 0:
         raise ValueError("need K >= 0")
     if len({u.m for u in paths}) != 1:
@@ -173,10 +182,7 @@ def signature_matrix(paths, K, word_cap=200_000):
             for i in range(1, k + 1):
                 acc = (acc[:, :, None] * x).reshape(B, -1) / (k - i + 1) + levels[i]
             levels[k] = acc
-    S = np.concatenate(levels, axis=1)
-    lengths = np.repeat(np.arange(K + 1), sizes)
-    _assert_simplex_bound(S, lengths, [u.M for u in paths], [u.T for u in paths])
-    return S
+    return np.concatenate(levels, axis=1)
 
 
 def signature_entry(u, w):
@@ -244,7 +250,8 @@ class SignatureTable:
 
 def signature_up_to(u, K, word_cap=200_000):
     """All entries for |w| <= K: row 0 of signature_matrix([u], K), the
-    Chen product of the truncated exponentials of u's pieces."""
-    row = signature_matrix([u], K, word_cap=word_cap)[0]
+    Chen product of the truncated exponentials of u's pieces. The
+    SignatureTable checks the simplex bound."""
+    row = _chen_product([u], K, word_cap)[0]
     entries = dict(zip(words_up_to(u.m, K), row.tolist()))
     return SignatureTable(m=u.m, K=K, M=u.M, T=u.T, entries=entries)

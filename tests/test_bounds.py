@@ -13,6 +13,7 @@ from chenfliess import (
     bilinear_bound,
     central_binomial_gf,
     excess_risk_bound,
+    family_from_json_dict,
     gamma_k,
     hopfield_bound,
     loss_contraction,
@@ -164,6 +165,99 @@ def test_one_over_sqrt_n_scaling_everywhere():
         t1 = theorem1_bound(family, 2, M, T, N, K=20).total
         t4 = theorem1_bound(family, 2, M, T, 4 * N, K=20).total
         assert t4 == pytest.approx(t1 / 2.0, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# one margin per family
+
+
+# margin = mMT exactly for the analytic, hopfield and factorial geometric
+# families below; bilinear and smooth geometric have margin 0
+MARGIN_FAMILIES = [
+    BilinearFamily(r=1.3, a=0.9),
+    AnalyticFamily(r=1.0, n=1, a_r=0.5),
+    HopfieldFamily(r=1.0, n=1, a=0.5, b=0.5),
+    GeometricFamily(C=2.0, rho=1.0, s=1),
+    GeometricFamily(C=2.0, rho=1.5, s=0),
+]
+# includes mMT = 1 exactly (1*1*1, 2*0.5*1, 2*1*0.5)
+MARGIN_GRID = [(m, M, T) for m in (1, 2) for M in (0.0, 0.25, 0.5, 1.0)
+               for T in (0.0, 0.5, 1.0, 2.0)]
+
+
+def test_margin_drives_convergent_tail_and_closed_form():
+    seen_boundary = False
+    for family in MARGIN_FAMILIES:
+        for m, M, T in MARGIN_GRID:
+            margin = family.margin(m, M, T)
+            seen_boundary |= margin == 1.0
+            ok = family.convergent(m, M, T)
+            assert ok == (margin < 1.0)
+            for K in (0, 3):
+                assert math.isfinite(family.tail(m, M, T, K)) == ok, (family, m, M, T)
+            assert math.isfinite(family.closed_form(m, M, T)) == ok, (family, m, M, T)
+    assert seen_boundary
+
+
+def test_closed_form_matches_long_partial_sum():
+    checked = 0
+    for family in MARGIN_FAMILIES:
+        for m, M, T in MARGIN_GRID:
+            if family.margin(m, M, T) > 0.5:
+                continue
+            partial = theorem1_bound(family, m, M, T, N=1, K=200).partial_sum
+            assert family.closed_form(m, M, T) == pytest.approx(partial, rel=1e-12)
+            checked += 1
+    assert checked > 30
+
+
+def test_wrappers_raise_with_the_family_margin():
+    for m, M, T in MARGIN_GRID:
+        assert math.isfinite(bilinear_bound(1.3, m, M, T, 0.9, 100))
+        family = AnalyticFamily(r=1.0, n=1, a_r=0.5)
+        if family.margin(m, M, T) >= 1.0:
+            with pytest.raises(PreconditionError) as err:
+                analytic_bound(1.0, 1, m, M, T, 0.5, 100)
+            assert err.value.margin == family.margin(m, M, T)
+        # hopfield has n^2 channels: n = 1 and n = 2 give m = 1 and m = 4
+        for n in (1, 2):
+            family = HopfieldFamily(r=1.0, n=n, a=0.5, b=0.5)
+            if family.margin(n * n, M, T) >= 1.0:
+                with pytest.raises(PreconditionError) as err:
+                    hopfield_bound(1.0, n, M, T, 0.5, 0.5, 100)
+                assert err.value.margin == family.margin(n * n, M, T)
+
+
+BAD_FAMILIES = [
+    ("bilinear", {"r": 0.0, "a": 1.0}, "r"),
+    ("bilinear", {"r": -1.0, "a": 1.0}, "r"),
+    ("bilinear", {"r": 1.0, "a": -1.0}, "a"),
+    ("analytic", {"r": 0.0, "n": 1, "a_r": 1.0}, "r"),
+    ("analytic", {"r": 1.0, "n": 0, "a_r": 1.0}, "n"),
+    ("analytic", {"r": 1.0, "n": 1, "a_r": -0.5}, "a_r"),
+    ("hopfield", {"r": 0.0, "n": 1, "a": 1.0, "b": 1.0}, "r"),
+    ("hopfield", {"r": 1.0, "n": 0, "a": 1.0, "b": 1.0}, "n"),
+    ("hopfield", {"r": 1.0, "n": 1, "a": 0.0, "b": 1.0}, "a"),
+    ("hopfield", {"r": 1.0, "n": 1, "a": 1.0, "b": -1.0}, "b"),
+    ("geometric", {"C": -1.0, "rho": 1.0}, "C"),
+    ("geometric", {"C": 1.0, "rho": -1.0}, "rho"),
+    ("geometric", {"C": 1.0, "rho": 1.0, "s": 2}, "s"),
+]
+
+
+@pytest.mark.parametrize("kind, args, field", BAD_FAMILIES)
+def test_family_rejects_bad_parameters(kind, args, field):
+    cls = {"bilinear": BilinearFamily, "analytic": AnalyticFamily,
+           "hopfield": HopfieldFamily, "geometric": GeometricFamily}[kind]
+    with pytest.raises(ValueError, match=rf"\b{field} must be"):
+        cls(**args)
+    with pytest.raises(ValueError, match=rf"\b{field} must be"):
+        family_from_json_dict({"kind": kind, **args})
+
+
+def test_bilinear_bound_rejects_negative_a():
+    with pytest.raises(ValueError, match=r"\ba must be"):
+        bilinear_bound(1.0, 1, 1.0, 1.0, -1.0, 100)
 
 
 # ---------------------------------------------------------------------------

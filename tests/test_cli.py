@@ -6,7 +6,13 @@ import sys
 
 import pytest
 
-from chenfliess import builtin_system, make_dataset
+from chenfliess import (
+    analytic_bound,
+    bilinear_bound,
+    builtin_system,
+    hopfield_bound,
+    make_dataset,
+)
 from chenfliess.cli import main
 
 
@@ -108,18 +114,39 @@ def test_simulate_subcommand(capsys_json, system_file, tmp_path):
     assert header == "t,x1"
 
 
+def _closed_form_report(kind, inputs, total, ok=True):
+    return {"kind": kind, "inputs": inputs, "K": None, "partial_sum": None,
+            "tail": None, "total": total, "precondition_ok": ok}
+
+
 def test_bound_subcommands(capsys_json, capsys, tmp_path):
     out = capsys_json([
         "bound", "bilinear", "--r", "1", "--m", "1", "--M", "1",
         "--T", "1", "--a", "1", "--N", "100",
     ])
     assert out["total"] == pytest.approx(math.e / 10.0)
+    assert out == _closed_form_report(
+        "bilinear", {"r": 1.0, "m": 1, "M": 1.0, "T": 1.0, "a": 1.0, "N": 100},
+        bilinear_bound(1.0, 1, 1.0, 1.0, 1.0, 100))
 
     out = capsys_json([
         "bound", "analytic", "--r", "1", "--n", "1", "--m", "1", "--M", "1",
         "--T", "0.1", "--a_r", "1", "--N", "100",
     ])
     assert out["total"] == pytest.approx(0.375)
+    assert out == _closed_form_report(
+        "analytic",
+        {"r": 1.0, "n": 1, "m": 1, "M": 1.0, "T": 0.1, "a_r": 1.0, "N": 100},
+        analytic_bound(1.0, 1, 1, 1.0, 0.1, 1.0, 100))
+
+    out = capsys_json([
+        "bound", "hopfield", "--r", "1", "--n", "2", "--M", "1",
+        "--T", "0.01", "--a", "1", "--b", "1", "--N", "100",
+    ])
+    assert out == _closed_form_report(
+        "hopfield",
+        {"r": 1.0, "n": 2, "M": 1.0, "T": 0.01, "a": 1.0, "b": 1.0, "N": 100},
+        hopfield_bound(1.0, 2, 1.0, 0.01, 1.0, 1.0, 100))
 
     out = capsys_json([
         "bound", "hopfield", "--r", "1", "--n", "1", "--M", "1",
@@ -127,6 +154,10 @@ def test_bound_subcommands(capsys_json, capsys, tmp_path):
     ])
     assert out["total"] == "divergent"
     assert not out["precondition_ok"]
+    assert out == _closed_form_report(
+        "hopfield",
+        {"r": 1.0, "n": 1, "M": 1.0, "T": 0.5, "a": 1.0, "b": 1.0, "N": 100},
+        "divergent", ok=False)
 
     out_file = tmp_path / "bound.json"
     main([
@@ -139,6 +170,16 @@ def test_bound_subcommands(capsys_json, capsys, tmp_path):
     assert "partial_sum" in table  # human table on stdout when --out is set
     report = json.loads(out_file.read_text())
     assert report["total"] == pytest.approx(math.e / 10.0, rel=1e-10)
+
+
+def test_bound_rejects_bad_family_parameters():
+    with pytest.raises(ValueError, match=r"\ba must be"):
+        main(["bound", "theorem1",
+              "--family", json.dumps({"kind": "bilinear", "r": 1, "a": -1}),
+              "--m", "1", "--M", "1", "--T", "1", "--N", "100", "--order", "4"])
+    with pytest.raises(ValueError, match=r"\ba must be"):
+        main(["bound", "hopfield", "--r", "1", "--n", "1", "--M", "1",
+              "--T", "0.1", "--a", "0", "--b", "1", "--N", "100"])
 
 
 def test_rademacher_and_erm_subcommands(capsys_json, tmp_path):

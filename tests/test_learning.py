@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from chenfliess import (
+    analytic_bound,
     Dataset,
     DataValidationError,
     bilinear_bound,
@@ -14,6 +15,7 @@ from chenfliess import (
     erm_fit,
     feature_matrix,
     generalization_experiment,
+    hopfield_bound,
     jensen_lemma_check,
     make_dataset,
     model_sup_bound,
@@ -362,6 +364,25 @@ def test_experiment_report_complete_and_consistent():
     )
     assert cert["excess_risk_bound"] > 0.0
     assert report["empirical_rademacher"]["estimate"] <= cert["complexity_bound"]
+
+
+def test_experiment_certificate_equals_public_closed_form():
+    wrappers = {
+        "bilinear2d": lambda f, s, N: bilinear_bound(f.r, s.m, s.M, s.T, f.a, N),
+        "analytic1d": lambda f, s, N: analytic_bound(f.r, f.n, s.m, s.M, s.T,
+                                                     f.a_r, N),
+        "hopfield2": lambda f, s, N: hopfield_bound(f.r, f.n, s.M, s.T, f.a,
+                                                    f.b, N),
+    }
+    for name, wrapper in wrappers.items():
+        built = builtin_system(name)
+        cfg = dict(BASE_CONFIG, system=name, order=2, n_train=40, n_test=40,
+                   n_controls=8, n_eps=16)
+        cert = generalization_experiment(cfg)["certified"]
+        assert cert["certified"], name
+        assert cert["complexity_bound"] == wrapper(built.family, built.spec, 40)
+        assert cert["model_sup_bound"] == model_sup_bound(
+            built.family, built.spec.m, built.spec.M, built.spec.T)
 
 
 def test_experiment_reproducible():

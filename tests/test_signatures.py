@@ -184,6 +184,27 @@ def test_signature_matrix_bounds_are_per_path():
     assert np.any(np.abs(S[1]) > small_bounds)
 
 
+def test_simplex_bound_checked_once_per_table(monkeypatch):
+    from chenfliess import signatures
+
+    calls = []
+    check = signatures._assert_simplex_bound
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(signatures, "_assert_simplex_bound", counting)
+    u = random_path(np.random.default_rng(12), 2, 1.0, 1.0)
+    for K in (0, 2, 4):
+        calls.clear()
+        signature_up_to(u, K)
+        assert len(calls) == 1
+        calls.clear()
+        signature_matrix([u, u], K)
+        assert len(calls) == 1
+
+
 def test_one_channel_shuffle_identity():
     rng = np.random.default_rng(4)
     for _ in range(20):
