@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-# cap the broadcast temporary at ~32 MB
-_CHUNK_ELEMENTS = 4_000_000
+# cap the broadcast temporary at ~8 MB; results do not depend on the cap.
+# Temporaries of different sizes from successive calls can each stay
+# resident in the allocator's heap, so the cap also bounds peak memory.
+_CHUNK_ELEMENTS = 1_000_000
 
 
 def det_matmul(A, B):

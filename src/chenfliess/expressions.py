@@ -15,6 +15,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 
 class ExprError(ValueError):
     """Base class for expression errors."""
@@ -100,7 +102,9 @@ ONE = Constant(1.0)
 class PrimitiveSpec:
     """Evaluation and bounding rules for one analytic primitive.
 
-    ``evaluate(order, x)`` returns the order-th derivative at x.
+    ``evaluate(order, x)`` returns the order-th derivative at x: a float
+    for a float x, and elementwise an array of the same shape for a 1-D
+    float array x (``eval_expr`` on a batch of points passes one).
     ``magnitude_bound(order, interval)`` returns an upper bound on
     |f^(order)| over the interval (bounds here are global over R, the
     interval argument is accepted for future tightening).
@@ -193,10 +197,17 @@ class _SelfPolynomialPrimitive:
 
 
 def _logistic(x):
+    if isinstance(x, np.ndarray):
+        e = np.exp(-np.abs(x))
+        return np.where(x >= 0, 1.0, e) / (1.0 + e)
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
     return e / (1.0 + e)
+
+
+def _tanh(x):
+    return np.tanh(x) if isinstance(x, np.ndarray) else math.tanh(x)
 
 
 # Growth constants via Cauchy's estimate on a horizontal strip: the logistic
@@ -208,7 +219,7 @@ LOGISTIC_GROWTH = (0.34, 7.1)
 TANH_GROWTH = (0.72, 5.8)
 
 _logistic_impl = _SelfPolynomialPrimitive(_logistic, [0, 1], [0, 1, -1])
-_tanh_impl = _SelfPolynomialPrimitive(math.tanh, [0, 1], [1, 0, -1])
+_tanh_impl = _SelfPolynomialPrimitive(_tanh, [0, 1], [1, 0, -1])
 
 register_primitive(
     PrimitiveSpec(
@@ -225,7 +236,9 @@ register_primitive(
 
 
 def eval_expr(e, x):
-    """Evaluate ``e`` at the point ``x`` (sequence indexed by x1..xn)."""
+    """Evaluate ``e`` at the point ``x`` (sequence indexed by x1..xn), or in
+    one tree walk at the N points of an (n, N) array: a length-N array (a
+    float for constant ``e``) that matches pointwise values to rounding."""
     if isinstance(e, Constant):
         return e.value
     if isinstance(e, Var):
@@ -233,9 +246,13 @@ def eval_expr(e, x):
             raise VariableIndexError(
                 f"x{e.index} out of range for point of dimension {len(x)}"
             )
-        return float(x[e.index - 1])
+        v = x[e.index - 1]
+        return v if isinstance(v, np.ndarray) else float(v)
     if isinstance(e, Sum):
-        return math.fsum(eval_expr(t, x) for t in e.terms)
+        vals = [eval_expr(t, x) for t in e.terms]
+        if isinstance(x, np.ndarray) and x.ndim == 2:
+            return sum(vals[1:], vals[0])
+        return math.fsum(vals)
     if isinstance(e, Product):
         acc = 1.0
         for f in e.factors:
@@ -243,6 +260,9 @@ def eval_expr(e, x):
         return acc
     if isinstance(e, Power):
         base = eval_expr(e.base, x)
+        if isinstance(base, np.ndarray):
+            with np.errstate(over="ignore"):  # saturates to +/-inf as below
+                return base**e.exponent
         try:
             return base**e.exponent
         except OverflowError:
@@ -274,7 +294,21 @@ _RANK = {Constant: 0, Var: 1, Power: 2, Product: 3, Sum: 4, Primitive: 5}
 
 
 def _order_key(e):
-    return (_RANK[type(e)], repr(e))
+    # built from the node's fields alone (no repr, hash or id), so child
+    # order is the same in every process
+    t = type(e)
+    rank = _RANK[t]
+    if t is Constant:
+        return (rank, e.value)
+    if t is Var:
+        return (rank, e.index)
+    if t is Power:
+        return (rank, _order_key(e.base), e.exponent)
+    if t is Product:
+        return (rank, tuple(map(_order_key, e.factors)))
+    if t is Sum:
+        return (rank, tuple(map(_order_key, e.terms)))
+    return (rank, e.name, e.order, _order_key(e.arg))
 
 
 def simplify(e):

@@ -79,11 +79,26 @@ class _Family:
 
     def tail(self, m, M, T, K):
         """sum_{k>K} term(k); math.inf when the series diverges."""
-        return self._tail(m, M, T, K) if self.convergent(m, M, T) else math.inf
+        return self._checked(self._tail, m, M, T, K)
 
     def closed_form(self, m, M, T):
         """sum_k term(k) in closed form; math.inf when the series diverges."""
-        return self._sum(m, M, T) if self.convergent(m, M, T) else math.inf
+        return self._checked(self._sum, m, M, T)
+
+    def _checked(self, fn, m, M, T, *rest):
+        if not self.convergent(m, M, T):
+            return math.inf
+        # inf means divergent to callers, so a convergent sum too large
+        # for a float raises instead
+        try:
+            value = fn(m, M, T, *rest)
+        except OverflowError:
+            value = math.inf
+        if math.isinf(value):
+            raise OverflowError(
+                f"{self.kind} series converges (margin {self.margin(m, M, T):.6g}) "
+                "but its value exceeds the float range")
+        return value
 
 
 @dataclass(frozen=True)

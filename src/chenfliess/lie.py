@@ -322,24 +322,17 @@ def lambda_k(sys, k, n_points=256, extra_points=(), word_cap=200_000, table=None
     best = -1.0
     best_word = None
     best_point = None
-    n_words = 0
     for w in words_of_length(sys.m, k):
-        n_words += 1
-        e = table.entry(w)
-        if e == ZERO:
-            if best < 0.0:
-                best, best_word, best_point = 0.0, w, tuple(grid[0])
-            continue
-        for row in grid:
-            v = abs(eval_expr(e, row))
-            if v > best:
-                best, best_word, best_point = v, w, tuple(row)
+        v = np.abs(np.full(len(grid), eval_expr(table.entry(w), grid.T)))
+        i = int(np.argmax(v))  # the first point attaining the word's max
+        if v[i] > best:
+            best, best_word, best_point = v[i], w, tuple(grid[i])
     return LambdaReport(
         k=k,
         value=float(best),
         word=best_word,
         point=tuple(float(v) for v in best_point),
-        n_words=n_words,
+        n_words=sys.m**k,
         n_points=grid.shape[0],
     )
 

@@ -69,6 +69,19 @@ def test_divergent_tail_reports_precondition_failure():
     assert report.to_json_dict()["tail"] == "divergent"
 
 
+def test_convergent_series_beyond_float_range_raises_not_divergent():
+    # margin 0, but e^1000 does not fit in a float
+    family = BilinearFamily(r=1.0, a=1.0)
+    assert family.margin(1, 1000.0, 1.0) == 0.0
+    with pytest.raises(OverflowError, match="exceeds the float range"):
+        bilinear_bound(1, 1, 1000, 1, 1, 100)
+    with pytest.raises(OverflowError, match="exceeds the float range"):
+        theorem1_bound(family, 1, 1000, 1, 100, K=5)
+    # below the float limit the same family is finite and certified
+    report = theorem1_bound(family, 1, 700, 1, 100, K=5)
+    assert report.precondition_ok and math.isfinite(report.total)
+
+
 def test_partial_sums_nondecreasing_and_converge_to_closed_forms():
     cases = [
         (BilinearFamily(r=1.0, a=1.0), 1, 1.0, 1.0,

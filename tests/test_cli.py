@@ -182,6 +182,19 @@ def test_bound_rejects_bad_family_parameters():
               "--T", "0.1", "--a", "0", "--b", "1", "--N", "100"])
 
 
+def test_bound_beyond_float_range_raises_without_output(capsys):
+    argvs = [
+        ["bound", "bilinear", "--r", "1", "--m", "1", "--M", "1000", "--T", "1",
+         "--a", "1", "--N", "100"],
+        ["bound", "theorem1", "--family", json.dumps({"kind": "bilinear", "r": 1, "a": 1}),
+         "--m", "1", "--M", "1000", "--T", "1", "--N", "100", "--order", "5"],
+    ]
+    for argv in argvs:
+        with pytest.raises(OverflowError, match="exceeds the float range"):
+            main(argv)
+        assert capsys.readouterr().out == ""
+
+
 def test_rademacher_and_erm_subcommands(capsys_json, tmp_path):
     built = builtin_system("bilinear2d")
     data, _ = make_dataset(built.spec, built.family, 30, 3, seed=5)

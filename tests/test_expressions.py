@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -111,6 +116,17 @@ def test_eval_power():
     assert eval_expr(Power(Var(1), 3), (2.0, 5.0)) == 8.0
 
 
+def test_eval_power_saturates_silently_at_a_point_and_in_a_batch():
+    x = np.array([[1e200, -1e200, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k, signs in ((3, (1, -1)), (4, (1, 1))):
+            got = eval_expr(Power(Var(1), k), x)
+            assert list(got[:2]) == [s * math.inf for s in signs]
+            assert got[2] == 2.0**k
+            assert [eval_expr(Power(Var(1), k), (v,)) for v in x[0]] == list(got)
+
+
 def test_eval_parsed_hand_arithmetic():
     # 2*1.5 + 2^2 = 7
     assert eval_expr(parse_expr("2*x1 + x2^2", 2), (1.5, 2.0)) == pytest.approx(7.0)
@@ -119,6 +135,8 @@ def test_eval_parsed_hand_arithmetic():
 def test_eval_dimension_error():
     with pytest.raises(VariableIndexError):
         eval_expr(Var(3), (1.0, 2.0))
+    with pytest.raises(VariableIndexError):
+        eval_expr(Var(3), np.zeros((2, 5)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +200,16 @@ def test_simplify_preserves_evaluation(e, x):
 
 @given(expr_strategy(), points)
 @settings(max_examples=200, deadline=None)
+def test_eval_at_a_point_returns_a_python_float(e, x):
+    v = eval_expr(e, x)
+    assert type(v) is float
+    w = eval_expr(e, np.array(x))
+    assert type(w) is float
+    assert w == v or (math.isnan(v) and math.isnan(w))
+
+
+@given(expr_strategy(), points)
+@settings(max_examples=200, deadline=None)
 def test_simplify_idempotent(e, x):
     s = simplify(e)
     assert simplify(s) == s
@@ -206,6 +234,25 @@ def test_pretty_print_round_trips(e, x):
     text = to_text(simplify(e))
     back = parse_expr(text, 2)
     assert eval_expr(back, x) == pytest.approx(eval_expr(e, x), rel=1e-12, abs=1e-12)
+
+
+def test_simplify_order_is_the_same_in_every_process():
+    # child order must not depend on hash() or id(), which vary by process
+    import chenfliess
+
+    script = ("from chenfliess import LieTable, builtin_system\n"
+              "from chenfliess.expressions import to_text\n"
+              "table = LieTable(builtin_system('hopfield2').spec)\n"
+              "print(to_text(table.entry((2, 4, 3))))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chenfliess.__file__)))
+    texts = []
+    for seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        texts.append(out.stdout)
+    assert texts[0] == texts[1]
+    assert "sigma" in texts[0]
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +283,18 @@ def test_logistic_low_order_values():
     assert spec.evaluate(1, 0.0) == pytest.approx(0.25)
     # f'' = f'(1-2f): at 0 -> 0.25 * 0 = 0
     assert spec.evaluate(2, 0.0) == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("name", ["sigma", "tanh"])
+def test_primitives_act_elementwise_on_arrays(name):
+    spec = get_primitive(name)
+    xs = np.linspace(-40.0, 40.0, 161)
+    for k in range(0, 5):
+        got = spec.evaluate(k, xs)
+        assert got.shape == xs.shape
+        for x, v in zip(xs, got):
+            want = spec.evaluate(k, float(x))
+            assert abs(v - want) <= 1e-13 * (1.0 + abs(want))
 
 
 def test_tanh_low_order_values():

@@ -26,8 +26,11 @@ from chenfliess import (
     signature_up_to,
 )
 from chenfliess import learning
+from chenfliess.expressions import ONE, ZERO, eval_expr
 from chenfliess.learning import coefficient_box
-from chenfliess.lie import words_up_to
+from chenfliess.lie import LieTable, system_from_exprs, words_up_to
+from chenfliess.series import feature_expr
+from chenfliess.signatures import signature_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -73,10 +76,11 @@ def test_sample_ball_inside_radius():
 
 def test_exact_enumeration_constant_psi():
     points = np.zeros((4, 1))
-    rep = jensen_lemma_check(lambda x: 1.0, points, method="exact")
-    assert rep.estimate == pytest.approx(1.5)
-    assert rep.rhs == pytest.approx(2.0)
-    assert rep.passed
+    for psi in (lambda x: 1.0, parse_expr("1", 1)):
+        rep = jensen_lemma_check(psi, points, method="exact")
+        assert rep.estimate == pytest.approx(1.5)
+        assert rep.rhs == pytest.approx(2.0)
+        assert rep.passed
 
 
 def test_zero_psi_trivially_passes():
@@ -94,6 +98,10 @@ def test_mc_passes_for_random_functions():
     rep = jensen_lemma_check(e, points, n_eps=10_000, seed=3)
     assert rep.passed
     assert rep.stderr > 0.0
+    pointwise = jensen_lemma_check(lambda x: eval_expr(e, x), points,
+                                   n_eps=10_000, seed=3)
+    assert rep.estimate == pytest.approx(pointwise.estimate, rel=1e-13)
+    assert rep.rhs == pytest.approx(pointwise.rhs, rel=1e-13)
 
 
 def test_exact_enumeration_guard():
@@ -145,6 +153,40 @@ def test_scaling_with_sample_size():
     # quadrupling N should roughly halve the estimate
     assert abs(e4.estimate - e1.estimate / 2.0) <= 3.0 * (e1.stderr + e4.stderr) \
         + 0.1 * e1.estimate
+
+
+def test_rademacher_even_odd_split_matches_explicit_flips():
+    # reference: stack every path with its sign flip and take the max
+    # over all 2 n_controls rows, as a sampled sup over {u, -u}
+    for name, K in (("bilinear2d", 5), ("hopfield2", 3), ("analytic1d", 0)):
+        built = builtin_system(name)
+        sys = built.spec
+        data, _ = make_dataset(sys, built.family, 40, K, seed=12)
+        n_controls, n_eps, seed = 24, 50, 13
+        est = empirical_rademacher(data, sys, K, n_controls, n_eps, seed)
+        words, Phi = feature_matrix(sys, data.x, K)
+        paths = [random_control_path(np.random.default_rng([seed, 1, c]), sys.m,
+                                     sys.M, sys.T, 3) for c in range(n_controls)]
+        sigs = signature_matrix(paths, K)
+        parity = np.array([(-1.0) ** len(w) for w in words])
+        vals = np.vstack([sigs, sigs * parity]) @ Phi.T
+        eps = np.random.default_rng([seed, 2]).integers(0, 2, size=(n_eps, 40)) * 2.0 - 1.0
+        sups = np.max(np.abs(vals @ eps.T), axis=0) / 40
+        assert est.estimate == pytest.approx(sups.mean(), rel=1e-12), name
+        assert est.stderr == pytest.approx(sups.std(ddof=1) / math.sqrt(n_eps),
+                                           rel=1e-12), name
+
+
+def test_det_matmul_does_not_depend_on_the_chunk_cap(monkeypatch):
+    from chenfliess import _num
+
+    rng = np.random.default_rng(14)
+    A, B = rng.standard_normal((300, 170)), rng.standard_normal((170, 90))
+    want = _num.det_matmul(A, B)
+    for cap in (1, 20_000, 10**9):
+        monkeypatch.setattr(_num, "_CHUNK_ELEMENTS", cap)
+        assert np.array_equal(_num.det_matmul(A, B), want)
+    assert np.allclose(want, A @ B, rtol=1e-12, atol=1e-12)
 
 
 def test_rademacher_deterministic():
@@ -467,6 +509,29 @@ def test_model_sup_bound_scale():
     built = builtin_system("bilinear2d")
     v = model_sup_bound(built.family, 2, 1.0, 0.3)
     assert v == pytest.approx(1.0 * math.exp(2 * 1.0 * 0.3 * 1.0), rel=1e-10)
+
+
+def test_feature_matrix_matches_pointwise_eval():
+    tanh_sys = system_from_exprs(2, 2, [["tanh(x2)", "0.5*x1"], ["1", "tanh(x1)*x2"]],
+                                 (0.6, 0.8), r=1.0, M=1.0, T=0.2)
+    # g = (1): entry (1,) is the constant 1 and entry (1, 1) is ZERO
+    const_sys = system_from_exprs(1, 1, [["1"]], (1.0,), r=1.0, M=1.0, T=0.5)
+    cases = [(builtin_system("bilinear2d").spec, 5),
+             (builtin_system("analytic1d").spec, 6),
+             (builtin_system("hopfield2").spec, 3),
+             (tanh_sys, 4), (const_sys, 3)]
+    for sys, K in cases:
+        X = sample_ball(np.random.default_rng(57), sys.n, sys.r, 30)
+        table = LieTable(sys)
+        words, Phi = feature_matrix(sys, X, K, lie_table=table)
+        assert Phi.shape == (30, len(words))
+        for j, w in enumerate(words):
+            e = feature_expr(table, w)
+            for i in range(30):
+                want = eval_expr(e, X[i])
+                assert abs(Phi[i, j] - want) <= 1e-13 * (1.0 + abs(want)), (w, i)
+    table = LieTable(const_sys)
+    assert table.entry((1,)) == ONE and table.entry((1, 1)) == ZERO
 
 
 def test_feature_matrix_consistent_with_series():

@@ -167,6 +167,43 @@ def test_lambda_k_below_family_bound_hopfield():
         assert rep.value <= built.family.lambda_bound(k) * (1 + 1e-12)
 
 
+def _lambda_k_pointwise(sys, k, n_points, table):
+    # reference: one eval_expr call per (word, point), first strict max wins
+    chat = np.asarray(sys.c, dtype=float) / sys.c_norm()
+    grid = domain_grid(sys.n, sys.r, n_points, [sys.r * chat, -sys.r * chat])
+    best, best_word, best_point = -1.0, None, None
+    for w in words_of_length(sys.m, k):
+        e = table.entry(w)
+        for row in grid:
+            v = abs(eval_expr(e, row))
+            if v > best:
+                best, best_word, best_point = v, w, tuple(float(x) for x in row)
+    return best, best_word, best_point
+
+
+def test_lambda_k_matches_pointwise_reference():
+    # nilpotent: every word of length >= 2 has the ZERO entry
+    nil = bilinear_system([np.array([[0.0, 1.0], [0.0, 0.0]])], c=(1.0, 0.0),
+                          r=1.0, M=1.0, T=1.0)
+    cases = [(builtin_system("bilinear2d").spec, 5, 32, 0.0),
+             (builtin_system("analytic1d").spec, 6, 32, 1e-13),
+             (builtin_system("hopfield2").spec, 3, 8, 1e-13),
+             (nil, 3, 8, 0.0)]
+    for sys, K, n_points, rel in cases:
+        table = LieTable(sys)
+        for k in range(K + 1):
+            rep = lambda_k(sys, k, n_points=n_points, table=table)
+            value, word, point = _lambda_k_pointwise(sys, k, n_points, table)
+            assert rep.value == pytest.approx(value, rel=rel, abs=0.0), (sys, k)
+            assert (rep.word, rep.point) == (word, point), (sys, k)
+    # ties: |x1| = 1 at +e1, -e1 and +/- c; the first grid point, +e1, wins
+    rep = lambda_k(builtin_system("bilinear2d").spec, 0, n_points=32)
+    assert rep.point == (1.0, 0.0)
+    # every entry ZERO: value 0 at the first word and the first grid point
+    rep = lambda_k(nil, 2, n_points=8)
+    assert (rep.value, rep.word, rep.point) == (0.0, (1, 1), (1.0, 0.0))
+
+
 def test_lambda_k_resource_guard():
     built = builtin_system("hopfield2")
     with pytest.raises(ResourceCapError):
