@@ -22,6 +22,7 @@ from .families import (  # re-exported: these are part of the bound calculators
     GeometricFamily,
     HopfieldFamily,
     central_binomial_gf,
+    float_range_error,
     gamma_k,
 )
 
@@ -104,7 +105,8 @@ def theorem1_bound(lambdas, m, M, T, N, K=None, tail_family=None):
     family supplies its own tail) or a sequence of per-order values
     L_0..L_K (then the tail comes from ``tail_family`` or is reported
     unavailable). A divergent tail is a precondition failure; the partial
-    sum is still returned.
+    sum is still returned. A term, partial sum or total beyond the float
+    range raises OverflowError; it is never reported as divergent.
     """
     if N < 1:
         raise ValueError("need N >= 1")
@@ -112,10 +114,9 @@ def theorem1_bound(lambdas, m, M, T, N, K=None, tail_family=None):
     if hasattr(lambdas, "term"):
         if K is None:
             raise ValueError("K is required when a bound family is supplied")
-        family = lambdas
-        terms = [family.term(k, m, M, T) for k in range(K + 1)]
-        tail = family.tail(m, M, T, K)
-        kind = f"theorem1[{family.kind}]"
+        tail_family = lambdas
+        terms = (lambdas.term(k, m, M, T) for k in range(K + 1))
+        kind = f"theorem1[{lambdas.kind}]"
     else:
         values = [float(v) for v in lambdas]
         if K is None:
@@ -123,17 +124,15 @@ def theorem1_bound(lambdas, m, M, T, N, K=None, tail_family=None):
         if len(values) != K + 1:
             raise ValueError(f"need K+1 = {K + 1} per-order values, got {len(values)}")
         x = m * M * T
-        terms = []
-        for k, lam in enumerate(values):
-            if k == 0:
-                terms.append(lam)
-            elif x == 0.0 or lam == 0.0:
-                terms.append(0.0)
-            else:
-                terms.append(lam * math.exp(k * math.log(x) - math.lgamma(k + 1)))
-        tail = tail_family.tail(m, M, T, K) if tail_family is not None else None
+        terms = (lam if k == 0 else 0.0 if x == 0.0 or lam == 0.0
+                 else lam * math.exp(k * math.log(x) - math.lgamma(k + 1))
+                 for k, lam in enumerate(values))
         kind = "theorem1"
-    partial = _compensated_descending_sum(terms) / math.sqrt(N)
+    tail = tail_family.tail(m, M, T, K) if tail_family is not None else None
+    try:  # the terms are generated here, so one that overflows lands here
+        partial = _compensated_descending_sum(terms) / math.sqrt(N)
+    except OverflowError:
+        partial = math.inf
     scaled_tail = None if tail is None else (
         math.inf if math.isinf(tail) else tail / math.sqrt(N)
     )
@@ -147,6 +146,9 @@ def theorem1_bound(lambdas, m, M, T, N, K=None, tail_family=None):
     else:
         total = partial + scaled_tail
         note = ""
+    if math.isinf(partial) or (math.isinf(total) and not diverged):
+        raise float_range_error(
+            kind, None if tail_family is None else tail_family.margin(m, M, T))
     return BoundReport(
         kind=kind,
         inputs=inputs,

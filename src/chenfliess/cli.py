@@ -14,7 +14,7 @@ import sys as _sys
 import numpy as np
 
 from .bounds import PreconditionError, _closed_form_bound, theorem1_bound
-from .expressions import parse_expr, simplify, to_text
+from .expressions import eval_expr, parse_expr, simplify, to_text
 from .families import FAMILY_KINDS, family_from_json_dict, family_to_json_dict
 from .learning import (
     Dataset,
@@ -81,8 +81,6 @@ def cmd_lie(args):
         payload["word"] = list(w)
         payload["expr"] = to_text(simplify(expr))
         if args.point is not None:
-            from .expressions import eval_expr
-
             point = [float(v) for v in args.point.split(",")]
             payload["value"] = eval_expr(expr, point)
     if args.lambda_k is not None:

@@ -58,6 +58,19 @@ def exp_remainder(x, K):
     return total
 
 
+def float_range_error(kind, margin):
+    """The OverflowError for a sum beyond the float range. Callers read
+    math.inf as divergent, so such a sum raises instead; ``margin`` is the
+    series' convergence ratio, None when unknown."""
+    if margin is None:
+        what = f"{kind} partial sum"
+    elif margin < 1.0:
+        what = f"{kind} series converges (margin {margin:.6g}) but its value"
+    else:
+        what = f"{kind} series diverges (margin {margin:.6g}) and its partial sum"
+    return OverflowError(f"{what} exceeds the float range")
+
+
 _CHECKS = {">": operator.gt, ">=": operator.ge, "in": lambda v, allowed: v in allowed}
 
 
@@ -95,9 +108,7 @@ class _Family:
         except OverflowError:
             value = math.inf
         if math.isinf(value):
-            raise OverflowError(
-                f"{self.kind} series converges (margin {self.margin(m, M, T):.6g}) "
-                "but its value exceeds the float range")
+            raise float_range_error(self.kind, self.margin(m, M, T))
         return value
 
 

@@ -239,6 +239,26 @@ def iterated_lie(table, w):
 # Domain sampling and the per-order feature magnitude estimate
 
 
+def _halton(d, count):
+    """Points 1..count of the unscrambled Halton sequence in the first d
+    primes: per base b, the radical inverse sum_i digit_i(q) b^-(i+1)."""
+    primes = []
+    k = 2
+    while len(primes) < d:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    out = np.zeros((count, d))
+    for j, b in enumerate(primes):
+        q = np.arange(1, count + 1)
+        f = 1.0 / b
+        while q.any():
+            out[:, j] += (q % b) * f
+            f /= b
+            q //= b
+    return out
+
+
 def domain_grid(n, r, n_points=256, extra_points=()):
     """Deterministic sample of the Euclidean ball of radius r.
 
@@ -261,13 +281,11 @@ def domain_grid(n, r, n_points=256, extra_points=()):
             raise ValueError("extra points must have dimension n")
         pts.append(p)
     if n_points > 0:
-        # scipy.stats is slow to import; only this grid needs it
-        from scipy.special import ndtri
-        from scipy.stats import qmc
+        from statistics import NormalDist  # only this grid needs it
 
-        h = qmc.Halton(d=n + 1, scramble=False).fast_forward(1).random(n_points)
+        h = _halton(n + 1, n_points)
         # odd prime bases never give 1/2, so no direction is zero
-        z = ndtri(h[:, 1:])
+        z = np.vectorize(NormalDist().inv_cdf, otypes=[float])(h[:, 1:])
         pts.extend(z / np.linalg.norm(z, axis=1, keepdims=True)
                    * (r * h[:, :1] ** (1.0 / n)))
     return np.array(pts)

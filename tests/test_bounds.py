@@ -82,6 +82,30 @@ def test_convergent_series_beyond_float_range_raises_not_divergent():
     assert report.precondition_ok and math.isfinite(report.total)
 
 
+def test_theorem1_term_overflow_raises_float_range_error():
+    family = BilinearFamily(r=1.0, a=1.0)
+    # a single term (mMT)^k/k! near k = 1000 overflows; at K=1000 the tail
+    # overflows too, at K=2000 only the terms do
+    for K in (1000, 2000):
+        with pytest.raises(OverflowError, match="converges .margin 0. but its value "
+                                                "exceeds the float range"):
+            theorem1_bound(family, 1, 1000, 1, 100, K=K)
+    values = [1.0] * 1001
+    with pytest.raises(OverflowError, match="exceeds the float range") as info:
+        theorem1_bound(values, 1, 1000, 1, 100)
+    assert "math range error" not in str(info.value)
+    with pytest.raises(OverflowError, match="converges .margin 0. but its value "
+                                            "exceeds the float range"):
+        theorem1_bound(values, 1, 1000, 1, 100, tail_family=family)
+    # finite partial sum and tail whose total overflows: not "divergent"
+    with pytest.raises(OverflowError, match="converges"):
+        theorem1_bound([1e308, 0.0], 1, 1.0, 1.0, 1,
+                       tail_family=BilinearFamily(r=1.5e308, a=1.0))
+    # a divergent series whose partial sum overflows says so
+    with pytest.raises(OverflowError, match="diverges .margin 2. and its partial sum"):
+        theorem1_bound(AnalyticFamily(r=1.0, n=1, a_r=1.0), 1, 1.0, 1.0, 1, K=2000)
+
+
 def test_partial_sums_nondecreasing_and_converge_to_closed_forms():
     cases = [
         (BilinearFamily(r=1.0, a=1.0), 1, 1.0, 1.0,

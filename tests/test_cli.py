@@ -255,6 +255,36 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.strip() == "False"
 
 
+def test_lie_lambda_k_loads_no_scipy_module():
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from chenfliess.cli import main\n"
+        "buf = io.StringIO()\n"
+        "with contextlib.redirect_stdout(buf):\n"
+        "    main(['lie', '--system', 'bilinear2d', '--lambda-k', '4', '--grid', '128'])\n"
+        "print(json.dumps({'n_words': json.loads(buf.getvalue())['lambda_k']['n_words'],\n"
+        "                  'scipy': sorted(m for m in sys.modules\n"
+        "                                  if m.split('.')[0] == 'scipy')}))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == {"n_words": 16, "scipy": []}
+
+
+def test_theorem1_term_overflow_exits_nonzero_without_output():
+    family = json.dumps({"kind": "bilinear", "r": 1, "a": 1})
+    for order in ("1000", "2000"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "chenfliess.cli", "bound", "theorem1",
+             "--family", family, "--m", "1", "--M", "1000", "--T", "1",
+             "--N", "100", "--order", order],
+            capture_output=True, text=True)
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        assert "exceeds the float range" in proc.stderr
+        assert "math range error" not in proc.stderr
+
+
 def test_absolute_loss_experiment_byte_identical_across_thread_counts(tmp_path):
     config = {
         "system": "bilinear2d", "order": 2, "loss": "absolute", "noise": 0.05,

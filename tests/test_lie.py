@@ -24,6 +24,8 @@ from chenfliess.expressions import (
     parse_expr,
 )
 
+from chenfliess.lie import _halton
+
 from conftest import bilinear_lie_oracle
 
 
@@ -241,10 +243,72 @@ def test_domain_grid_deterministic():
 
 
 def test_domain_grid_high_dimension_without_rejection():
-    domain_grid(2, 1.0, n_points=1)  # the first call pays for the scipy import
+    domain_grid(2, 1.0, n_points=1)  # the first call pays for one-time imports
     start = time.perf_counter()
     grid = domain_grid(20, 2.0, n_points=256)
     assert time.perf_counter() - start < 0.25
     assert grid.shape == (2 * 20 + 256, 20)
     assert np.all(np.isfinite(grid))
     assert np.all(np.linalg.norm(grid, axis=1) <= 2.0 * (1 + 1e-12))
+
+
+# scipy is the oracle for the grid: the unscrambled Halton points and the
+# Gaussian quantiles the grid took from scipy.stats.qmc and scipy.special
+
+
+def _scipy_grid(n, r, n_points=256, extra_points=()):
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
+    pts = []
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = r
+        pts.append(e.copy())
+        pts.append(-e)
+    pts.extend(np.asarray(p, dtype=float) for p in extra_points)
+    h = qmc.Halton(d=n + 1, scramble=False).fast_forward(1).random(n_points)
+    z = ndtri(h[:, 1:])
+    pts.extend(z / np.linalg.norm(z, axis=1, keepdims=True)
+               * (r * h[:, :1] ** (1.0 / n)))
+    return np.array(pts)
+
+
+def test_halton_is_bit_identical_to_scipy():
+    from scipy.stats import qmc
+
+    for d, count in ((1, 256), (2, 256), (3, 1000), (21, 256)):
+        expected = qmc.Halton(d=d, scramble=False).fast_forward(1).random(count)
+        assert np.array_equal(_halton(d, count), expected), (d, count)
+
+
+def test_grid_quantiles_match_ndtri():
+    from statistics import NormalDist
+
+    from scipy.special import ndtri
+
+    u = _halton(21, 4096)
+    z = np.vectorize(NormalDist().inv_cdf, otypes=[float])(u)
+    expected = ndtri(u)
+    assert np.all(np.abs(z - expected) <= 2e-15 * np.maximum(1.0, np.abs(expected)))
+
+
+def test_domain_grid_matches_scipy_grid():
+    grid = domain_grid(20, 2.0, n_points=256)
+    expected = _scipy_grid(20, 2.0, n_points=256)
+    assert grid.shape == expected.shape
+    assert np.max(np.abs(grid - expected)) <= 4e-15
+
+
+def test_lambda_k_matches_scipy_grid_reference(monkeypatch):
+    for name, K in (("bilinear2d", 6), ("analytic1d", 8), ("hopfield2", 4)):
+        sys = builtin_system(name).spec
+        table = LieTable(sys)
+        reports = [lambda_k(sys, k, table=table) for k in range(K + 1)]
+        with monkeypatch.context() as mp:
+            mp.setattr("chenfliess.lie.domain_grid", _scipy_grid)
+            expected = [lambda_k(sys, k, table=table) for k in range(K + 1)]
+        for k, (rep, ref) in enumerate(zip(reports, expected)):
+            assert rep.word == ref.word, (name, k)
+            assert rep.value == pytest.approx(ref.value, rel=1e-14, abs=1e-14), (name, k)
+            assert np.allclose(rep.point, ref.point, rtol=0.0, atol=1e-14), (name, k)
