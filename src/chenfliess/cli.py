@@ -14,7 +14,7 @@ import sys as _sys
 import numpy as np
 
 from .bounds import PreconditionError, _closed_form_bound, theorem1_bound
-from .expressions import eval_expr, parse_expr, simplify, to_text
+from .expressions import eval_expr, parse_expr, to_text
 from .families import FAMILY_KINDS, family_from_json_dict, family_to_json_dict
 from .learning import (
     Dataset,
@@ -79,9 +79,13 @@ def cmd_lie(args):
         table = LieTable(spec)
         expr = table.entry(w)
         payload["word"] = list(w)
-        payload["expr"] = to_text(simplify(expr))
+        payload["expr"] = to_text(expr)
         if args.point is not None:
             point = [float(v) for v in args.point.split(",")]
+            if len(point) != spec.n:
+                raise ValueError(
+                    f"--point has {len(point)} components, system has n = {spec.n}"
+                )
             payload["value"] = eval_expr(expr, point)
     if args.lambda_k is not None:
         rep = lambda_k(spec, args.lambda_k, n_points=args.grid)

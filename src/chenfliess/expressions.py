@@ -290,33 +290,14 @@ def max_var_index(e):
 # ---------------------------------------------------------------------------
 # Simplification
 
-_RANK = {Constant: 0, Var: 1, Power: 2, Product: 3, Sum: 4, Primitive: 5}
-
-
-def _order_key(e):
-    # built from the node's fields alone (no repr, hash or id), so child
-    # order is the same in every process
-    t = type(e)
-    rank = _RANK[t]
-    if t is Constant:
-        return (rank, e.value)
-    if t is Var:
-        return (rank, e.index)
-    if t is Power:
-        return (rank, _order_key(e.base), e.exponent)
-    if t is Product:
-        return (rank, tuple(map(_order_key, e.factors)))
-    if t is Sum:
-        return (rank, tuple(map(_order_key, e.terms)))
-    return (rank, e.name, e.order, _order_key(e.arg))
-
-
 def simplify(e):
-    """Syntactic normal form: constant folding, zero/one elimination,
-    flattening of nested sums and products, deterministic child order.
+    """Syntactic clean-up: constant folding, zero/one elimination and
+    flattening of nested sums and products. A folded constant leads its
+    sum or product; the other children keep their construction order.
 
-    Idempotent and evaluation-equivalent. Deliberately does not factor,
-    expand or collect like terms, so cost stays predictable.
+    Idempotent and evaluation-equivalent, but not a normal form: it does
+    not reorder, factor, expand or collect like terms, so cost stays
+    predictable.
     """
     if isinstance(e, (Constant, Var)):
         return e
@@ -334,7 +315,6 @@ def simplify(e):
                     const += u.value
                 else:
                     terms.append(u)
-        terms.sort(key=_order_key)
         if const != 0.0:
             terms.insert(0, Constant(const))
         if not terms:
@@ -358,7 +338,6 @@ def simplify(e):
                     factors.append(u)
         if const == 0.0:
             return ZERO
-        factors.sort(key=_order_key)
         if const != 1.0:
             factors.insert(0, Constant(const))
         if not factors:

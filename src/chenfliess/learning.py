@@ -62,6 +62,9 @@ class Dataset:
         self.y = np.asarray(self.y, dtype=float)
         if self.x.ndim != 2 or self.y.ndim != 1 or len(self.x) != len(self.y):
             raise DataValidationError("X must be (N, n) and Y (N,) with equal N")
+        bad = np.nonzero(~(np.isfinite(self.x).all(axis=1) & np.isfinite(self.y)))[0]
+        if bad.size:
+            raise DataValidationError(f"record {bad[0]}: X and Y must be finite")
         norms = np.sqrt((self.x**2).sum(axis=1))
         bad = np.nonzero(norms > self.r * _NORM_SLACK)[0]
         if bad.size:
@@ -88,8 +91,10 @@ class Dataset:
         number (header is line 1)."""
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            if header[-1].strip() != "y":
+            header = next(reader, None)
+            if header is None:
+                raise DataValidationError("empty CSV file: expected an x1,...,y header")
+            if not header or header[-1].strip() != "y":
                 raise DataValidationError("last CSV column must be 'y'")
             n = len(header) - 1
             xs, ys = [], []
@@ -100,7 +105,12 @@ class Dataset:
                     raise DataValidationError(
                         f"line {line_no}: expected {n + 1} columns, got {len(row)}"
                     )
-                vals = [float(v) for v in row]
+                try:
+                    vals = [float(v) for v in row]
+                except ValueError as err:
+                    raise DataValidationError(f"line {line_no}: {err}") from None
+                if not all(map(math.isfinite, vals)):
+                    raise DataValidationError(f"line {line_no}: X and Y must be finite")
                 point, label = vals[:-1], vals[-1]
                 if math.sqrt(math.fsum(v * v for v in point)) > r * _NORM_SLACK:
                     raise DataValidationError(

@@ -97,6 +97,8 @@ def chen_fliess_eval(sys, x0, u, K, family=None, lie_table=None, sig_table=None,
     if u.M > sys.M * (1 + 1e-12):
         raise ValueError(f"control bound {u.M} exceeds system bound {sys.M}")
     x0 = tuple(float(v) for v in x0)
+    if len(x0) != sys.n:
+        raise ValueError(f"x0 has {len(x0)} components, system has n = {sys.n}")
     if math.sqrt(math.fsum(v * v for v in x0)) > sys.r * (1 + 1e-12):
         raise ValueError(f"|x0| exceeds the domain radius {sys.r}")
     check_word_cap(sys.m, K, word_cap)
@@ -209,6 +211,8 @@ def ode_reference(sys, x0, u, step):
         raise ValueError("step must be > 0")
     if u.m != sys.m:
         raise ValueError(f"control has {u.m} channels, system has {sys.m}")
+    if len(x0) != sys.n:
+        raise ValueError(f"x0 has {len(x0)} components, system has n = {sys.n}")
     _, states_c = _rk4_run(sys, x0, u, step)
     times, states = _rk4_run(sys, x0, u, step / 2.0)
     c = np.asarray(sys.c, dtype=float)

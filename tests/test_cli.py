@@ -79,6 +79,26 @@ def test_lie_subcommand(capsys_json):
     assert out["lambda_k"]["value"] <= 1.0 + 1e-12
 
 
+def test_state_dimension_checked_by_subcommands(capsys, system_file, tmp_path):
+    p = tmp_path / "u.json"
+    p.write_text(json.dumps({
+        "m": 1, "breakpoints": [0.0, 0.5], "values": [[1.0]], "M": 1.0,
+    }))
+    wrong_x0 = "x0 has 2 components, system has n = 1"
+    argvs = [
+        (["lie", "--system", "bilinear2d", "--word", "1", "--point=0.1,0.2,0.3"],
+         "--point has 3 components, system has n = 2"),
+        (["eval-series", "--system", system_file, "--path", str(p),
+          "--x0", "0.1,0.2", "--order", "2"], wrong_x0),
+        (["simulate", "--system", system_file, "--path", str(p),
+          "--x0", "0.1,0.2", "--step", "1e-2"], wrong_x0),
+    ]
+    for argv, match in argvs:
+        with pytest.raises(ValueError, match=match):
+            main(argv)
+        assert capsys.readouterr().out == ""
+
+
 def test_eval_series_subcommand(capsys_json, system_file, tmp_path):
     p = tmp_path / "u.json"
     p.write_text(json.dumps({

@@ -156,6 +156,16 @@ def test_simplify_constant_folding():
     assert e == Product((Constant(6.0), Var(1)))
 
 
+def test_simplify_keeps_construction_order():
+    # no sort: children stay in the order they were built, and only a
+    # folded constant moves to the front
+    assert to_text(simplify(Sum((Var(2), Var(1))))) == "x2 + x1"
+    e = Product((Var(2), Constant(2.0), Product((Var(1), Constant(3.0)))))
+    assert simplify(e) == Product((Constant(6.0), Var(2), Var(1)))
+    e = Sum((Power(Var(1), 10), Constant(1.0), Power(Var(1), 2)))
+    assert to_text(simplify(e)) == "1 + x1^10 + x1^2"
+
+
 def test_simplify_power_edge_cases():
     assert simplify(Power(Var(1), 0)) == Constant(1.0)
     assert simplify(Power(Var(1), 1)) == Var(1)

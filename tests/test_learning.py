@@ -47,6 +47,31 @@ def test_dataset_rejects_large_labels():
         Dataset(np.array([[0.1, 0.0]]), np.array([5.0]), r=1.0, m1=1.0)
 
 
+@pytest.mark.parametrize("x, y", [
+    ([[0.1, 0.0], [np.nan, 0.0]], [0.0, 0.0]),
+    ([[0.1, 0.0], [0.0, 0.1]], [0.0, np.nan]),
+    ([[0.1, 0.0], [0.0, -np.inf]], [0.0, 0.0]),
+])
+def test_dataset_rejects_non_finite_records(x, y):
+    # NaN fails every bound check, so it must be rejected on its own
+    with pytest.raises(DataValidationError, match=r"record 1: .*finite"):
+        Dataset(np.array(x), np.array(y), r=1.0, m1=1.0)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("", "empty CSV file"),
+    ("\n0.1,0.2\n", "last CSV column must be 'y'"),
+    ("x1,y\n0.1,0.2\n0.1,abc\n", "line 3: .*'abc'"),
+    ("x1,y\n0.1,0.2\nnan,0.0\n", "line 3: .*finite"),
+    ("x1,y\n0.1,inf\n", "line 2: .*finite"),
+])
+def test_csv_rejects_empty_files_and_bad_cells(tmp_path, text, match):
+    p = tmp_path / "data.csv"
+    p.write_text(text)
+    with pytest.raises(DataValidationError, match=match):
+        Dataset.from_csv(p, r=1.0, m1=1.0)
+
+
 def test_csv_round_trip_and_row_numbers(tmp_path):
     rng = np.random.default_rng(0)
     X = sample_ball(rng, 2, 1.0, 10)

@@ -128,6 +128,16 @@ def test_lie_table_size_formula():
         assert len(table) == (2 ** (K + 1) - 1) // (2 - 1)
 
 
+def test_lie_table_growth_budget():
+    # about 1.5 s on a 2-vCPU x86_64; a simplify that re-sorts children by
+    # a key rebuilt for each subtree takes about 9 s here
+    table = LieTable(builtin_system("analytic1d").spec)
+    t0 = time.perf_counter()
+    table.ensure_depth(10)
+    assert time.perf_counter() - t0 < 4.0
+    assert len(table) == 11
+
+
 # ---------------------------------------------------------------------------
 # lambda_k
 

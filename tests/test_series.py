@@ -154,6 +154,16 @@ def test_mismatched_control_rejected():
         chen_fliess_eval(sys, (0.0, 0.0), u, 2)
 
 
+@pytest.mark.parametrize("x0", [(0.1, 0.2, 0.3), (0.1,)])
+def test_state_dimension_checked(x0):
+    sys = builtin_system("bilinear2d").spec
+    u = constant_path((1.0, 0.0), sys.T, M=sys.M)
+    with pytest.raises(ValueError, match=r"system has n = 2"):
+        chen_fliess_eval(sys, x0, u, 2)
+    with pytest.raises(ValueError, match=r"system has n = 2"):
+        ode_reference(sys, x0, u, 1e-2)
+
+
 # ---------------------------------------------------------------------------
 # RK4 reference
 
