@@ -62,6 +62,11 @@ class Dataset:
         self.y = np.asarray(self.y, dtype=float)
         if self.x.ndim != 2 or self.y.ndim != 1 or len(self.x) != len(self.y):
             raise DataValidationError("X must be (N, n) and Y (N,) with equal N")
+        # NaN passes every bound check below, so the bounds are checked first
+        if not (math.isfinite(self.r) and self.r > 0):
+            raise DataValidationError(f"r must be finite and > 0, got {self.r}")
+        if not (math.isfinite(self.m1) and self.m1 >= 0):
+            raise DataValidationError(f"m1 must be finite and >= 0, got {self.m1}")
         bad = np.nonzero(~(np.isfinite(self.x).all(axis=1) & np.isfinite(self.y)))[0]
         if bad.size:
             raise DataValidationError(f"record {bad[0]}: X and Y must be finite")
@@ -147,6 +152,8 @@ def feature_matrix(sys, X, K, lie_table=None, word_cap=200_000):
         lie_table = LieTable(sys)
     words = words_up_to(sys.m, K)
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != sys.n:
+        raise ValueError(f"X must be (N, n) with n = {sys.n}, got shape {X.shape}")
     Phi = np.empty((len(X), len(words)))
     for j, w in enumerate(words):
         Phi[:, j] = eval_expr(feature_expr(lie_table, w), X.T)
@@ -246,29 +253,27 @@ def empirical_rademacher(data, sys, K, n_controls, n_eps, seed, pieces=3,
     """Monte Carlo estimate of E_eps sup_u |sum_i eps_i model_u(X_i)| / N.
 
     Each control path derives its stream from (seed, index), so results
-    are independent of evaluation order. Sign flips of each path are
-    included analytically: flipping u negates the odd-length signature
-    entries, so with E and O the even- and odd-length parts of the model
-    outputs, the sup over {u, -u} is |eps.E| + |eps.O|."""
+    are independent of evaluation order. The signs meet the live features
+    first (a column zero at every point adds nothing): A = Phi^T eps^T is
+    (live words x draws), and flipping u negates the odd-length signature
+    entries, so each sup over {u, -u} is |S_even A_even| + |S_odd A_odd|."""
     if n_controls < 1 or n_eps < 1:
         raise ValueError("need n_controls >= 1 and n_eps >= 1")
     words, Phi = feature_matrix(sys, data.x, K, word_cap=word_cap)
+    live = np.flatnonzero(np.any(Phi != 0.0, axis=0))
     paths = [random_control_path(np.random.default_rng([seed, 1, c]), sys.m,
                                  sys.M, sys.T, pieces) for c in range(n_controls)]
-    sigs = signature_matrix(paths, K, word_cap=word_cap)
-    odd = np.array([len(w) % 2 == 1 for w in words])
-    E = det_matmul(sigs[:, ~odd], Phi[:, ~odd].T)  # (n_controls, N)
-    O = det_matmul(sigs[:, odd], Phi[:, odd].T)
-    if not (np.all(np.isfinite(E)) and np.all(np.isfinite(O))):
+    sigs = signature_matrix(paths, K, word_cap=word_cap)[:, live]
+    odd = np.array([len(words[j]) % 2 == 1 for j in live], dtype=bool)
+    eps = np.random.default_rng([seed, 2]).integers(0, 2, size=(n_eps, data.N)) * 2.0 - 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below
+        A = det_matmul(Phi[:, live].T, eps.T)
+        s = abs(det_matmul(sigs[:, ~odd], A[~odd])) + abs(det_matmul(sigs[:, odd], A[odd]))
+    if not np.all(np.isfinite(s)):
         raise FloatingPointError(
             "non-finite model outputs: series diverges for these controls"
         )
-    eps_rng = np.random.default_rng([seed, 2])
-    eps = eps_rng.integers(0, 2, size=(n_eps, data.N)) * 2.0 - 1.0
-    sups = np.empty(n_eps)
-    for j in range(n_eps):
-        s = np.abs((E * eps[j]).sum(axis=1)) + np.abs((O * eps[j]).sum(axis=1))
-        sups[j] = np.max(s) / data.N
+    sups = s.max(axis=0) / data.N
     estimate = float(sups.mean())
     stderr = float(sups.std(ddof=1) / math.sqrt(n_eps)) if n_eps > 1 else 0.0
     return RademacherEstimate(

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from chenfliess import (
+    DataValidationError,
     analytic_bound,
     bilinear_bound,
     builtin_system,
@@ -233,6 +234,21 @@ def test_rademacher_and_erm_subcommands(capsys_json, tmp_path):
     assert out["train_risk"] <= 1e-8
     for row in out["coefficients"]:
         assert abs(row["theta"]) <= row["box"] * (1 + 1e-12)
+
+
+def test_erm_rejects_bad_label_bound_and_wrong_width_without_output(capsys, tmp_path):
+    built = builtin_system("bilinear2d")
+    data, _ = make_dataset(built.spec, built.family, 10, 2, seed=5)
+    good, wide = tmp_path / "good.csv", tmp_path / "wide.csv"
+    data.to_csv(good)
+    wide.write_text("x1,x2,x3,y\n0.1,0.2,0.3,0.0\n0.0,0.1,0.0,0.5\n")
+    cases = [(good, "nan", DataValidationError, "m1 must be finite"),
+             (wide, str(data.m1), ValueError, r"X must be \(N, n\) with n = 2")]
+    for path, m1, err, match in cases:
+        with pytest.raises(err, match=match):
+            main(["erm", "--system", "bilinear2d", "--data", str(path),
+                  "--m1", m1, "--order", "2", "--seed", "1"])
+        assert capsys.readouterr().out == ""
 
 
 def test_seed_required_for_stochastic_subcommands(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ def test_dataset_rejects_out_of_domain_points():
 def test_dataset_rejects_large_labels():
     with pytest.raises(DataValidationError):
         Dataset(np.array([[0.1, 0.0]]), np.array([5.0]), r=1.0, m1=1.0)
+    assert Dataset(np.array([[0.1, 0.0]]), np.array([0.0]), r=1.0, m1=0.0).N == 1
 
 
 @pytest.mark.parametrize("x, y", [
@@ -56,6 +58,21 @@ def test_dataset_rejects_non_finite_records(x, y):
     # NaN fails every bound check, so it must be rejected on its own
     with pytest.raises(DataValidationError, match=r"record 1: .*finite"):
         Dataset(np.array(x), np.array(y), r=1.0, m1=1.0)
+
+
+@pytest.mark.parametrize("r, m1, match", [
+    (np.nan, 1.0, "r must be"),
+    (np.inf, 1.0, "r must be"),
+    (0.0, 1.0, "r must be"),
+    (-1.0, 1.0, "r must be"),
+    (1.0, np.nan, "m1 must be"),
+    (1.0, np.inf, "m1 must be"),
+    (1.0, -1.0, "m1 must be"),
+])
+def test_dataset_rejects_bad_radius_and_label_bound(r, m1, match):
+    # every bound check passes against NaN, so r and m1 are checked first
+    with pytest.raises(DataValidationError, match=match):
+        Dataset(np.array([[0.1, 0.0]]), np.array([0.0]), r=r, m1=m1)
 
 
 @pytest.mark.parametrize("text, match", [
@@ -183,10 +200,22 @@ def test_scaling_with_sample_size():
 def test_rademacher_even_odd_split_matches_explicit_flips():
     # reference: stack every path with its sign flip and take the max
     # over all 2 n_controls rows, as a sampled sup over {u, -u}
+    cases = []
     for name, K in (("bilinear2d", 5), ("hopfield2", 3), ("analytic1d", 0)):
         built = builtin_system(name)
-        sys = built.spec
-        data, _ = make_dataset(sys, built.family, 40, K, seed=12)
+        data, _ = make_dataset(built.spec, built.family, 40, K, seed=12)
+        cases.append((name, built.spec, K, data))
+    rng = np.random.default_rng(15)
+    X = sample_ball(rng, 3, 1.0, 40)
+    # dense: no zero column, and more words (63) than points (40)
+    dense = bilinear_system(list(rng.standard_normal((2, 3, 3))), c=rng.standard_normal(3),
+                            r=1.0, M=1.0, T=0.5)
+    cases.append(("dense", dense, 5, Dataset(X, np.zeros(40), 1.0, 1.0)))
+    # zero output: every column is zero, so no word is live
+    blind = bilinear_system([np.eye(2), np.ones((2, 2))], c=(0.0, 0.0), r=1.0, M=1.0,
+                            T=0.3)
+    cases.append(("blind", blind, 3, Dataset(X[:, :2], np.zeros(40), 1.0, 1.0)))
+    for name, sys, K, data in cases:
         n_controls, n_eps, seed = 24, 50, 13
         est = empirical_rademacher(data, sys, K, n_controls, n_eps, seed)
         words, Phi = feature_matrix(sys, data.x, K)
@@ -200,6 +229,22 @@ def test_rademacher_even_odd_split_matches_explicit_flips():
         assert est.estimate == pytest.approx(sups.mean(), rel=1e-12), name
         assert est.stderr == pytest.approx(sups.std(ddof=1) / math.sqrt(n_eps),
                                            rel=1e-12), name
+        if name == "dense":
+            assert np.all(np.any(Phi != 0.0, axis=0)) and Phi.shape == (40, 63)
+        if name == "blind":
+            assert est.estimate == 0.0 and est.stderr == 0.0
+
+
+def test_rademacher_non_finite_features_raise_without_warnings():
+    sys = bilinear_system([[[0.0, 1e200], [1e200, 0.0]]], c=(1.0, 0.0), r=1.0, M=1.0,
+                          T=0.3)
+    data = Dataset(sample_ball(np.random.default_rng(16), 2, 1.0, 20), np.zeros(20),
+                   1.0, 1.0)
+    assert not np.all(np.isfinite(feature_matrix(sys, data.x, 2)[1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            empirical_rademacher(data, sys, 2, n_controls=8, n_eps=16, seed=1)
 
 
 def test_det_matmul_does_not_depend_on_the_chunk_cap(monkeypatch):
@@ -557,6 +602,24 @@ def test_feature_matrix_matches_pointwise_eval():
                 assert abs(Phi[i, j] - want) <= 1e-13 * (1.0 + abs(want)), (w, i)
     table = LieTable(const_sys)
     assert table.entry((1,)) == ONE and table.entry((1, 1)) == ZERO
+
+
+def test_points_of_the_wrong_width_are_rejected():
+    built = builtin_system("bilinear2d")
+    sys = built.spec
+    match = r"X must be \(N, n\) with n = 2"
+    for X in ([[0.1, 0.2, 0.3]], [0.1, 0.2], [[0.1]]):
+        with pytest.raises(ValueError, match=match):
+            feature_matrix(sys, X, 2)
+    data, _ = make_dataset(sys, built.family, 10, 2, seed=3)
+    wide = Dataset(np.hstack([data.x, np.zeros((10, 1))]), data.y, data.r, data.m1)
+    with pytest.raises(ValueError, match=match):
+        erm_fit(wide, sys, 2)
+    with pytest.raises(ValueError, match=match):
+        empirical_rademacher(wide, sys, 2, n_controls=4, n_eps=4, seed=1)
+    model = erm_fit(data, sys, 2)
+    with pytest.raises(ValueError, match=match):
+        model.predict(wide.x)
 
 
 def test_feature_matrix_consistent_with_series():
