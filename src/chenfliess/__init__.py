@@ -58,7 +58,6 @@ from .learning import (
     RademacherEstimate,
     empirical_rademacher,
     erm_fit,
-    feature_matrix,
     generalization_experiment,
     jensen_lemma_check,
     make_dataset,
@@ -90,7 +89,7 @@ from .series import (
     SeriesEvaluation,
     absorb_drift,
     chen_fliess_eval,
-    feature_expr,
+    feature_matrix,
     ode_reference,
     truncation_tail,
 )

@@ -28,13 +28,14 @@ from ._num import det_dot, det_matmul, det_matvec, det_norm
 from .bounds import excess_risk_bound, loss_contraction, theorem1_bound
 from .expressions import Expr, eval_expr
 from .families import family_from_json_dict
-from .lie import LieTable, check_word_cap, warn_if_c_not_unit, words_up_to
-from .series import feature_expr
+from .lie import warn_if_c_not_unit, word_lengths
+from .series import feature_matrix
 from .signatures import ControlPath, signature_matrix, signature_norm_bound
 from .systems import builtin_system, load_system_file
 
 # not called here, but benchmark/tracer.py wraps these names in this module
 from .bounds import analytic_bound, bilinear_bound, hopfield_bound  # noqa: F401
+from .lie import LieTable  # noqa: F401
 from .signatures import signature_up_to  # noqa: F401
 
 SCHEMA_VERSION = 2
@@ -138,26 +139,7 @@ class Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Features and random controls
-
-
-def feature_matrix(sys, X, K, lie_table=None, word_cap=200_000):
-    """(words, Phi) with Phi[i, j] the feature of word words[j] at X[i].
-
-    Column w holds the Lie entry for reversed w, the pairing the series
-    evaluator uses, so a fitted coefficient vector is comparable with a
-    signature."""
-    check_word_cap(sys.m, K, word_cap)
-    if lie_table is None:
-        lie_table = LieTable(sys)
-    words = words_up_to(sys.m, K)
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != sys.n:
-        raise ValueError(f"X must be (N, n) with n = {sys.n}, got shape {X.shape}")
-    Phi = np.empty((len(X), len(words)))
-    for j, w in enumerate(words):
-        Phi[:, j] = eval_expr(feature_expr(lie_table, w), X.T)
-    return words, Phi
+# Coefficient box and random controls
 
 
 def coefficient_box(words, M, T):
@@ -167,6 +149,8 @@ def coefficient_box(words, M, T):
 def random_control_path(rng, m, M, T, pieces=3):
     """Random piecewise-constant control: sorted uniform breakpoints,
     values uniform in [-M, M]."""
+    if pieces < 1:
+        raise ValueError(f"need pieces >= 1, got {pieces}")
     if T == 0:
         return ControlPath(m, (0.0,), (), M)
     while True:
@@ -259,12 +243,12 @@ def empirical_rademacher(data, sys, K, n_controls, n_eps, seed, pieces=3,
     entries, so each sup over {u, -u} is |S_even A_even| + |S_odd A_odd|."""
     if n_controls < 1 or n_eps < 1:
         raise ValueError("need n_controls >= 1 and n_eps >= 1")
-    words, Phi = feature_matrix(sys, data.x, K, word_cap=word_cap)
+    _, Phi = feature_matrix(sys, data.x, K, word_cap=word_cap)
     live = np.flatnonzero(np.any(Phi != 0.0, axis=0))
     paths = [random_control_path(np.random.default_rng([seed, 1, c]), sys.m,
                                  sys.M, sys.T, pieces) for c in range(n_controls)]
     sigs = signature_matrix(paths, K, word_cap=word_cap)[:, live]
-    odd = np.array([len(words[j]) % 2 == 1 for j in live], dtype=bool)
+    odd = word_lengths(sys.m, K)[live] % 2 == 1
     eps = np.random.default_rng([seed, 2]).integers(0, 2, size=(n_eps, data.N)) * 2.0 - 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below
         A = det_matmul(Phi[:, live].T, eps.T)

@@ -44,6 +44,8 @@ class ResourceCapError(RuntimeError):
 
 
 def check_word_cap(m, k, cap):
+    if k < 0:
+        raise ValueError("need K >= 0")
     count = m**k
     if count > cap:
         raise ResourceCapError(
@@ -65,11 +67,24 @@ def words_up_to(m, K):
     return out
 
 
+def word_lengths(m, K):
+    """Length of each word of words_up_to(m, K), in that order."""
+    return np.repeat(np.arange(K + 1), [m**k for k in range(K + 1)])
+
+
 def validate_word(w, m):
     for i in w:
         if not 1 <= i <= m:
             raise ValueError(f"channel {i} out of range 1..{m}")
     return tuple(w)
+
+
+def word_index(m, w):
+    """Column of w in words_up_to(m, K), K >= |w|: w in bijective base m."""
+    j = 0
+    for i in validate_word(w, m):
+        j = j * m + i
+    return j
 
 
 # ---------------------------------------------------------------------------

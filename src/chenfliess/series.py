@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import Constant, Product, eval_expr, simplify
-from .lie import LieTable, SystemSpec, check_word_cap, words_up_to
+from .lie import LieTable, SystemSpec, check_word_cap, word_lengths, words_up_to
 from .signatures import ControlPath, signature_up_to
 
 
@@ -34,9 +34,27 @@ class OdeBlowupError(RuntimeError):
         self.t = t
 
 
-def feature_expr(table, w):
-    """Feature paired with signature word w: the entry for reversed w."""
-    return table.entry(tuple(reversed(tuple(w))))
+def feature_matrix(sys, X, K, lie_table=None, word_cap=200_000):
+    """(words, Phi) with Phi[i, j] the feature of word words[j] at X[i],
+    so a coefficient vector is comparable with a signature."""
+    check_word_cap(sys.m, K, word_cap)
+    if lie_table is None:
+        lie_table = LieTable(sys)
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != sys.n:
+        raise ValueError(f"X must be (N, n) with n = {sys.n}, got shape {X.shape}")
+    words = words_up_to(sys.m, K)
+    return words, _features(lie_table, words, X)
+
+
+def _features(lie_table, words, X):
+    """Column j: the Lie entry for reversed words[j] (the pairing above) at
+    the rows of X; one point is walked in floats, N points in one batch."""
+    points = X[0].tolist() if len(X) == 1 else X.T
+    Phi = np.empty((len(X), len(words)))
+    for j, w in enumerate(words):
+        Phi[:, j] = eval_expr(lie_table.entry(w[::-1]), points)
+    return Phi
 
 
 @dataclass
@@ -85,10 +103,11 @@ def chen_fliess_eval(sys, x0, u, K, family=None, lie_table=None, sig_table=None,
     """Evaluate the order-K truncated series at x0 under the control u.
 
     Pass lie_table / sig_table to share work across calls on the same
-    system and control. With ``family`` set, the truncation tail bound is
-    attached and a ConvergenceWarning is issued when the family cannot
-    certify convergence. With ``ode_step`` set, the RK4 reference runs and
-    the oracle fields are filled in.
+    system and control; a sig_table for another (m, M, T) raises. With
+    ``family`` set, the truncation tail bound is attached and a
+    ConvergenceWarning is issued when the family cannot certify
+    convergence. With ``ode_step`` set, the RK4 reference runs and the
+    oracle fields are filled in.
     """
     if u.m != sys.m:
         raise ValueError(f"control has {u.m} channels, system has {sys.m}")
@@ -106,15 +125,15 @@ def chen_fliess_eval(sys, x0, u, K, family=None, lie_table=None, sig_table=None,
         lie_table = LieTable(sys)
     if sig_table is None or sig_table.K < K:
         sig_table = signature_up_to(u, K, word_cap=word_cap)
+    elif (sig_table.m, sig_table.M, sig_table.T) != (u.m, u.M, u.T):
+        raise ValueError("sig_table was built for a control of another (m, M, T)")
 
-    per_order = [[] for _ in range(K + 1)]
-    for w in words_up_to(sys.m, K):
-        s = sig_table[w]
-        if s == 0.0:
-            per_order[len(w)].append(0.0)
-            continue
-        per_order[len(w)].append(s * eval_expr(feature_expr(lie_table, w), x0))
-    contributions = tuple(math.fsum(terms) for terms in per_order)
+    # a zero signature entry adds 0.0, so its feature is never built
+    words = words_up_to(sys.m, K)
+    live = np.flatnonzero(sig_table.row[: len(words)])
+    terms = sig_table.row[live] * _features(lie_table, [words[j] for j in live], np.array([x0]))[0]
+    lengths = word_lengths(sys.m, K)[live]
+    contributions = tuple(math.fsum(terms[lengths == k]) for k in range(K + 1))
     value = math.fsum(contributions)
 
     tail = None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lie import check_word_cap, validate_word, words_up_to
+from .lie import check_word_cap, validate_word, word_index, word_lengths, words_up_to
 
 
 @dataclass(frozen=True)
@@ -128,10 +128,10 @@ def signature_norm_bound(M, T, k):
 # Chen's identity
 
 
-def _assert_simplex_bound(S, lengths, M, T, words=None):
+def _assert_simplex_bound(S, lengths, M, T):
     """Hard invariant: |S[b, j]| <= (M_b T_b)^k / k! for k = lengths[j],
     with 1e-12 relative headroom because bound-saturating paths land
-    within an ulp of equality. `words`, if given, names column j."""
+    within an ulp of equality."""
     levels = range(int(np.max(lengths, initial=0)) + 1)
     per_path = {mt: [signature_norm_bound(*mt, k) for k in levels]
                 for mt in set(zip(M, T))}
@@ -139,7 +139,7 @@ def _assert_simplex_bound(S, lengths, M, T, words=None):
     bad = np.abs(S) > bounds * (1 + 1e-12) + 1e-300
     if bad.any():
         b, j = np.argwhere(bad)[0]
-        raise AssertionError(f"|S^{words[j] if words else j}| = {abs(S[b, j])} "
+        raise AssertionError(f"|S[{b}, {j}]| = {abs(S[b, j])} (order {lengths[j]}) "
                              f"violates the simplex bound {bounds[b, j]}")
 
 
@@ -155,16 +155,14 @@ def signature_matrix(paths, K, word_cap=200_000):
     against its path's simplex bound."""
     paths = list(paths)
     S = _chen_product(paths, K, word_cap)
-    lengths = np.repeat(np.arange(K + 1), [paths[0].m**k for k in range(K + 1)])
-    _assert_simplex_bound(S, lengths, [u.M for u in paths], [u.T for u in paths])
+    _assert_simplex_bound(S, word_lengths(paths[0].m, K), [u.M for u in paths],
+                          [u.T for u in paths])
     return S
 
 
 def _chen_product(paths, K, word_cap):
     """The unchecked kernel of signature_matrix; its callers check the
     simplex bound once."""
-    if K < 0:
-        raise ValueError("need K >= 0")
     if len({u.m for u in paths}) != 1:
         raise ValueError("need one or more paths with the same channel count")
     m = paths[0].m
@@ -174,8 +172,7 @@ def _chen_product(paths, K, word_cap):
     for b, u in enumerate(paths):
         if u.pieces:
             steps[: u.pieces, b] = np.diff(u.breakpoints)[:, None] * u.values
-    sizes = [m**k for k in range(K + 1)]
-    levels = [np.ones((B, 1))] + [np.zeros((B, size)) for size in sizes[1:]]
+    levels = [np.ones((B, 1))] + [np.zeros((B, m**k)) for k in range(1, K + 1)]
     for x in steps[:, :, None, :]:
         for k in range(K, 0, -1):  # descending: levels below k are still old
             acc = levels[0]
@@ -201,36 +198,53 @@ def signature_entry(u, w):
     return float(prefix[-1])
 
 
-@dataclass
+@dataclass(eq=False)
 class SignatureTable:
-    """All entries for |w| <= K, with the simplex bound as a hard invariant."""
+    """All entries for |w| <= K as one row in words_up_to(m, K) order (the
+    row of signature_matrix), with the simplex bound as a hard invariant."""
 
     m: int
     K: int
     M: float
     T: float
-    entries: dict
+    row: np.ndarray
 
     def __post_init__(self):
-        if self.entries.get(()) != 1.0:
+        lengths = word_lengths(self.m, self.K)
+        if self.row.shape != lengths.shape:
+            raise ValueError(f"row must hold {len(lengths)} entries for m = {self.m}, K = {self.K}")
+        if self.row[0] != 1.0:
             raise AssertionError("empty-word entry must be exactly 1")
-        words = list(self.entries)
-        _assert_simplex_bound(np.array([list(self.entries.values())]),
-                              [len(w) for w in words], [self.M], [self.T], words)
+        _assert_simplex_bound(self.row[None, :], lengths, [self.M], [self.T])
 
     def __getitem__(self, w):
-        return self.entries[tuple(w)]
+        try:
+            j = word_index(self.m, w)
+        except ValueError:
+            raise KeyError(tuple(w)) from None
+        if j >= len(self.row):  # the row ends at order K
+            raise KeyError(tuple(w))
+        return float(self.row[j])
 
     def __contains__(self, w):
-        return tuple(w) in self.entries
+        try:
+            self[w]
+        except KeyError:
+            return False
+        return True
+
+    @property
+    def entries(self):
+        return dict(zip(self.words(), self.row.tolist()))
 
     def words(self):
-        return sorted(self.entries, key=lambda w: (len(w), w))
+        return words_up_to(self.m, self.K)
 
     def flipped(self):
         """Table for the sign-flipped control: S^w(-u) = (-1)^|w| S^w(u)."""
-        entries = {w: (s if len(w) % 2 == 0 else -s) for w, s in self.entries.items()}
-        return SignatureTable(self.m, self.K, self.M, self.T, entries)
+        odd = word_lengths(self.m, self.K) % 2 == 1
+        return SignatureTable(self.m, self.K, self.M, self.T,
+                              np.where(odd, -self.row, self.row))
 
     def to_json_dict(self):
         return {
@@ -238,10 +252,8 @@ class SignatureTable:
             "K": self.K,
             "M": float(self.M),
             "T": float(self.T),
-            "entries": [
-                {"word": [int(i) for i in w], "value": float(self.entries[w])}
-                for w in self.words()
-            ],
+            "entries": [{"word": [int(i) for i in w], "value": s}
+                        for w, s in self.entries.items()],
         }
 
     def to_json(self):
@@ -252,6 +264,4 @@ def signature_up_to(u, K, word_cap=200_000):
     """All entries for |w| <= K: row 0 of signature_matrix([u], K), the
     Chen product of the truncated exponentials of u's pieces. The
     SignatureTable checks the simplex bound."""
-    row = _chen_product([u], K, word_cap)[0]
-    entries = dict(zip(words_up_to(u.m, K), row.tolist()))
-    return SignatureTable(m=u.m, K=K, M=u.M, T=u.T, entries=entries)
+    return SignatureTable(m=u.m, K=K, M=u.M, T=u.T, row=_chen_product([u], K, word_cap)[0])

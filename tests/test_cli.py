@@ -251,6 +251,22 @@ def test_erm_rejects_bad_label_bound_and_wrong_width_without_output(capsys, tmp_
         assert capsys.readouterr().out == ""
 
 
+def test_pieces_below_one_rejected_without_output(capsys, tmp_path):
+    built = builtin_system("bilinear2d")
+    data, _ = make_dataset(built.spec, built.family, 10, 2, seed=5)
+    csv_path, cfg = tmp_path / "d.csv", tmp_path / "cfg.json"
+    data.to_csv(csv_path)
+    cfg.write_text(json.dumps({"system": "bilinear2d", "seed": 1, "order": 2,
+                               "n_train": 10, "n_test": 10, "pieces": 0}))
+    for argv in (["rademacher", "--system", "bilinear2d", "--data", str(csv_path),
+                  "--m1", str(data.m1), "--order", "2", "--n-controls", "4",
+                  "--n-eps", "4", "--seed", "1", "--pieces", "0"],
+                 ["experiment", "--config", str(cfg)]):
+        with pytest.raises(ValueError, match="need pieces >= 1"):
+            main(argv)
+        assert capsys.readouterr().out == ""
+
+
 def test_seed_required_for_stochastic_subcommands(tmp_path):
     with pytest.raises(SystemExit):
         main(["rademacher", "--system", "bilinear2d", "--data", "x.csv",

@@ -30,7 +30,6 @@ from chenfliess import learning
 from chenfliess.expressions import ONE, ZERO, eval_expr
 from chenfliess.learning import coefficient_box
 from chenfliess.lie import LieTable, system_from_exprs, words_up_to
-from chenfliess.series import feature_expr
 from chenfliess.signatures import signature_matrix
 
 
@@ -257,6 +256,18 @@ def test_det_matmul_does_not_depend_on_the_chunk_cap(monkeypatch):
         monkeypatch.setattr(_num, "_CHUNK_ELEMENTS", cap)
         assert np.array_equal(_num.det_matmul(A, B), want)
     assert np.allclose(want, A @ B, rtol=1e-12, atol=1e-12)
+
+
+def test_pieces_below_one_rejected():
+    built = builtin_system("bilinear2d")
+    data, _ = make_dataset(built.spec, built.family, 10, 2, seed=3)
+    for pieces in (0, -1):
+        with pytest.raises(ValueError, match="need pieces >= 1"):
+            empirical_rademacher(data, built.spec, 2, n_controls=4, n_eps=4, seed=1,
+                                 pieces=pieces)
+    with pytest.raises(ValueError, match="need pieces >= 1"):
+        generalization_experiment({"system": "bilinear2d", "seed": 1, "order": 2,
+                                   "n_train": 10, "n_test": 10, "pieces": 0})
 
 
 def test_rademacher_deterministic():
@@ -596,7 +607,7 @@ def test_feature_matrix_matches_pointwise_eval():
         words, Phi = feature_matrix(sys, X, K, lie_table=table)
         assert Phi.shape == (30, len(words))
         for j, w in enumerate(words):
-            e = feature_expr(table, w)
+            e = table.entry(w[::-1])
             for i in range(30):
                 want = eval_expr(e, X[i])
                 assert abs(Phi[i, j] - want) <= 1e-13 * (1.0 + abs(want)), (w, i)

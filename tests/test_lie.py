@@ -4,14 +4,20 @@ import numpy as np
 import pytest
 
 from chenfliess import (
+    Dataset,
     LieTable,
     ResourceCapError,
     bilinear_system,
     builtin_system,
+    chen_fliess_eval,
+    constant_path,
     domain_grid,
+    erm_fit,
+    feature_matrix,
     iterated_lie,
     lambda_k,
     lie_derivative,
+    signature_matrix,
     system_from_exprs,
     words_of_length,
     words_up_to,
@@ -220,6 +226,19 @@ def test_lambda_k_resource_guard():
     built = builtin_system("hopfield2")
     with pytest.raises(ResourceCapError):
         lambda_k(built.spec, 10, word_cap=1000)
+
+
+@pytest.mark.parametrize("call", [
+    lambda sys, u: feature_matrix(sys, [[0.1, 0.2]], -1),
+    lambda sys, u: erm_fit(Dataset([[0.1, 0.2]], [0.0], sys.r, 1.0), sys, -1),
+    lambda sys, u: lambda_k(sys, -1),
+    lambda sys, u: chen_fliess_eval(sys, (0.1, 0.2), u, -1),
+    lambda sys, u: signature_matrix([u], -1),
+], ids=["feature_matrix", "erm_fit", "lambda_k", "chen_fliess_eval", "signature_matrix"])
+def test_negative_order_rejected(call):
+    sys = builtin_system("bilinear2d").spec
+    with pytest.raises(ValueError, match="need K >= 0"):
+        call(sys, constant_path((1.0, 0.0), sys.T))
 
 
 def test_lambda_report_serializes():

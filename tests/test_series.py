@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from chenfliess import (
     truncation_tail,
 )
 from chenfliess.expressions import eval_expr
+from chenfliess.learning import sample_ball
 from chenfliess.lie import words_up_to
 from chenfliess.signatures import signature_up_to
 
@@ -136,6 +138,58 @@ def test_shared_tables_reused_across_calls():
     b = chen_fliess_eval(sys, (0.3, -0.4), u, 8, lie_table=lie, sig_table=sig)
     assert a.value != b.value
     assert len(lie) == 2**9 - 1
+
+
+def _per_word_pairing(sys, x0, K, lie_table, sig_table):
+    """Oracle: the per-word loop, one float walk per word with a nonzero
+    signature entry, and one fsum per order."""
+    per_order = [[] for _ in range(K + 1)]
+    for w in words_up_to(sys.m, K):
+        s = sig_table[w]
+        per_order[len(w)].append(
+            0.0 if s == 0.0 else s * eval_expr(lie_table.entry(w[::-1]), x0))
+    return tuple(math.fsum(terms) for terms in per_order)
+
+
+def test_pairing_matches_per_word_oracle_bit_for_bit():
+    rng = np.random.default_rng(31)
+    cases = []
+    for name, K_max in (("bilinear2d", 8), ("analytic1d", 7), ("hopfield2", 4)):
+        sys = builtin_system(name).spec
+        for _ in range(2):
+            cases.append((sys, K_max, random_path(rng, sys.m, sys.M, sys.T),
+                          tuple(sample_ball(rng, sys.n, sys.r, 1)[0])))
+    sys = noncommuting_system()
+    cases.append((sys, 6, random_path(rng, 2, 1.0, 0.3), (0.7, 0.4)))
+    # zero control: every feature past order 0 is inf at x0 and adds exactly 0
+    huge = bilinear_system([[[0.0, 1e200], [1e200, 0.0]]], c=(1.0, 0.0), r=1.0,
+                           M=1.0, T=0.3)
+    cases.append((huge, 3, constant_path((0.0,), 0.3, M=1.0), (0.5, 0.5)))
+    # zero control again: the order-2 feature at x0 is inf - inf
+    opposed = bilinear_system([[[1e200, 1e200], [-1e200, -1e200]]], c=(1.0, 0.0),
+                              r=1.0, M=1.0, T=0.3)
+    cases.append((opposed, 3, constant_path((0.0,), 0.3, M=1.0), (0.5, 0.3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sys, K_max, u, x0 in cases:
+            lie = LieTable(sys)
+            sig = signature_up_to(u, K_max)  # shared, and reused at smaller K
+            for K in range(K_max + 1):
+                ev = chen_fliess_eval(sys, x0, u, K, lie_table=lie, sig_table=sig)
+                want = _per_word_pairing(sys, x0, K, lie, sig)
+                assert ev.contributions == want
+                assert ev.value == math.fsum(want)
+    assert ev.value == 0.5 and ev.contributions == (0.5, 0.0, 0.0, 0.0)
+
+
+def test_sig_table_for_another_control_rejected():
+    sys = builtin_system("bilinear2d").spec
+    u = constant_path((1.0, 0.0), 0.3)
+    assert chen_fliess_eval(sys, (0.1, 0.2), u, 3).value == pytest.approx(0.16)
+    for other in (constant_path((1.0, 0.0, 0.0), 0.3), constant_path((1.0, 0.0), 0.9),
+                  constant_path((0.5, 0.0), 0.3)):
+        with pytest.raises(ValueError, match=r"another \(m, M, T\)"):
+            chen_fliess_eval(sys, (0.1, 0.2), u, 3, sig_table=signature_up_to(other, 3))
 
 
 def test_divergence_warning():

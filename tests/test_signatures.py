@@ -226,10 +226,33 @@ def test_corrupted_table_rejected():
     table = signature_up_to(u, 2)
     from chenfliess.signatures import SignatureTable
 
-    bad = dict(table.entries)
-    bad[(1,)] = 10.0
+    bad = table.row.copy()
+    bad[1] = 10.0  # the entry of word (1,)
     with pytest.raises(AssertionError):
         SignatureTable(u.m, 2, u.M, u.T, bad)
+
+
+def test_table_is_a_view_over_the_signature_row():
+    for m in (1, 2, 3):
+        u = random_path(np.random.default_rng(40 + m), m, 1.0, 1.0)
+        table = signature_up_to(u, 3)
+        assert np.array_equal(table.row, signature_matrix([u], 3)[0])
+        words = words_up_to(m, 3)
+        for w in words:
+            assert table[w] == table.row[words.index(w)]
+        for w in ((0,), (m + 1,), (1, m + 1), (1,) * 4):
+            assert w not in table
+            with pytest.raises(KeyError):
+                table[w]
+
+
+def test_table_rejects_a_row_of_the_wrong_length():
+    from chenfliess.signatures import SignatureTable
+
+    row = signature_up_to(constant_path((0.5, 0.5), 1.0), 2).row
+    for bad in (row[:1], row[:-1], np.append(row, 0.0)):
+        with pytest.raises(ValueError, match="row must hold 7 entries"):
+            SignatureTable(2, 2, 0.5, 1.0, bad)
 
 
 def test_flipped_table_parity():
