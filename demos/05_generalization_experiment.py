@@ -25,7 +25,7 @@ print("=" * 60)
 print(f"train risk          : {report['risks']['train']:.3e}")
 print(f"test risk           : {report['risks']['test']:.3e}")
 erm = report["erm"]
-print(f"ERM solver          : {erm['solver']}, {erm['n_iter']} iterations, "
+print(f"ERM solver          : {erm['solver']}, {erm['n_iter']} steps, "
       f"converged={erm['converged']}, KKT residual {erm['kkt_residual']:.1e}")
 rad = report["empirical_rademacher"]
 print(f"empirical complexity: {rad['estimate']:.5f} +/- {rad['stderr']:.5f}")

@@ -181,7 +181,7 @@ def cmd_rademacher(args):
 def cmd_erm(args):
     spec, _, _ = _load_system(args.system)
     data = Dataset.from_csv(args.data, r=spec.r, m1=args.m1)
-    model = erm_fit(data, spec, args.order, loss=args.loss, seed=args.seed)
+    model = erm_fit(data, spec, args.order, loss=args.loss)
     _emit(model.to_json_dict(), args.out)
 
 
@@ -302,7 +302,6 @@ def build_parser():
     p.add_argument("--m1", type=float, required=True)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--loss", choices=("squared", "absolute"), default="squared")
-    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_erm)
 

@@ -3,15 +3,14 @@ estimates and the end-to-end generalization experiment.
 
 The learnable object is a control path; its truncated signature is a
 coefficient vector inside the box |theta_w| <= (MT)^|w| / |w|!, so ERM
-is a small convex problem over that box in p = #words coefficients. It
-is solved in Gram form: accelerated projected gradient (FISTA with
-adaptive restart) stopped on a KKT residual for squared loss, and an
-exact linear program (HiGHS) for absolute loss. The experiment report
-carries the solver, its iteration count, convergence flag and optimality
-residual in its `erm` block. The box is a RELAXATION of the exact model
-class (not every box point is a realizable signature); the certificates
-only use the box bound, so they cover the relaxed class, and every
-report says so.
+is a small convex problem over that box in p = #words coefficients,
+solved exactly: bounded-variable least squares by an active-set method
+for squared loss, and a linear program (HiGHS) for absolute loss. The
+experiment report carries the solver, its iteration count, convergence
+flag and optimality residual in its `erm` block. The box is a
+RELAXATION of the exact model class (not every box point is a
+realizable signature); the certificates only use the box bound, so they
+cover the relaxed class, and every report says so.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .bounds import analytic_bound, bilinear_bound, hopfield_bound  # noqa: F401
 from .lie import LieTable  # noqa: F401
 from .signatures import signature_up_to  # noqa: F401
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # validation headroom for rounding on points generated exactly on the
 # boundary; violations beyond it are errors, never clamped
@@ -348,7 +347,7 @@ class FittedModel:
     """Box-constrained coefficients in signature-feature space.
 
     `kkt_residual` is the optimality residual of the solver named in
-    `solver`: the gradient-mapping residual at `theta` for "fista", the
+    `solver`: the unit-step projected gradient at `theta` for "bvls", the
     primal-dual gap for "linprog-highs"."""
 
     sys: object
@@ -393,54 +392,67 @@ class FittedModel:
         }
 
 
-def _lambda_max(G, seed, tol=1e-10, max_iter=10_000):
-    """Largest eigenvalue of the symmetric PSD matrix G by power iteration
-    (fixed seed)."""
-    rng = np.random.default_rng([seed, 3])
-    v = rng.standard_normal(G.shape[0])
-    v /= det_norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = det_matvec(G, v)
-        norm = det_norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        if abs(norm - lam) <= tol * max(1.0, norm):
-            return norm
-        lam = norm
-    return lam
+def _lstsq(A, b):
+    """argmin |b - A z| by Householder QR with column pivoting over
+    deterministic reductions; columns past the numerical rank (remaining
+    norm within rounding of the largest column's) get 0."""
+    A, b = np.array(A, dtype=float), np.array(b, dtype=float)
+    N, q = A.shape
+    cut = np.max((A**2).sum(axis=0), initial=0.0) * (np.finfo(float).eps * max(N, q)) ** 2
+    perm, rank = np.arange(q), 0
+    for k in range(min(N, q)):
+        sq = (A[k:, k:] ** 2).sum(axis=0)
+        j = k + int(np.argmax(sq))
+        if sq[j - k] <= cut:
+            break
+        A[:, [k, j]], perm[[k, j]] = A[:, [j, k]], perm[[j, k]]
+        v = A[k:, k].copy()
+        v[0] += math.copysign(math.sqrt(sq[j - k]), v[0])
+        v /= det_norm(v)
+        A[k:, k:] -= 2.0 * v[:, None] * (v[:, None] * A[k:, k:]).sum(axis=0)
+        b[k:] -= 2.0 * det_dot(v, b[k:]) * v
+        rank = k + 1
+    z = np.zeros(rank)
+    for i in range(rank - 1, -1, -1):
+        z[i] = (b[i] - det_dot(A[i, i + 1 : rank], z[i + 1 :])) / A[i, i]
+    out = np.zeros(q)
+    out[perm[:rank]] = z
+    return out
 
 
-def _fista_box(G, b, box, L, max_iter, tol):
-    """Minimise f(theta) = theta^T G theta - 2 b^T theta over |theta| <= box
-    by FISTA with gradient-based adaptive restart.
+def _bvls(Phi, y, box, max_iter):
+    """Minimise |y - Phi theta|^2 over |theta| <= box by the primal
+    active-set method of Stark & Parker (1995), from theta = 0.
 
-    Stops when the gradient-mapping residual L |z - clip(z - grad f(z)/L)|_inf
-    at a feasible point z is at most tol (1 + |b|_inf). Returns
-    (theta, grad f(theta), residual at theta, iterations, converged)."""
-    thresh = tol * (1.0 + float(np.max(np.abs(b))))
-    theta = np.zeros_like(b)
-    z = theta
-    t = 1.0
-    for n_iter in range(1, max_iter + 1):
-        grad = 2.0 * (det_matvec(G, z) - b)
-        new = np.clip(z - grad / L, -box, box)
-        kkt = L * float(np.max(np.abs(z - new)))
-        if kkt <= thresh and np.all(np.abs(z) <= box):
-            return z, grad, kkt, n_iter, True
-        if kkt <= thresh or det_dot(z - new, new - theta) > 0.0:
-            # restart: the momentum points uphill, or it left the box at a
-            # stationary point (the feasible projection is checked next)
-            t, z = 1.0, new
-        else:
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            z = new + ((t - 1.0) / t_next) * (new - theta)
-            t = t_next
-        theta = new
-    grad = 2.0 * (det_matvec(G, theta) - b)
-    kkt = L * float(np.max(np.abs(theta - np.clip(theta - grad / L, -box, box))))
-    return theta, grad, kkt, max_iter, False
+    Each step solves least squares on the free columns (zero columns stay
+    fixed at 0). A solution outside the box is cut back to the first
+    bound crossed, and that variable is held there; a solution inside is
+    taken, and the held variable whose gradient points furthest into the
+    box is released. A held gradient within rounding of 0 counts as
+    optimal, so the method stops at a KKT point. Returns (theta, steps,
+    converged)."""
+    g_tol = 1e-13 * (1.0 + float(np.max(np.abs(det_matvec(Phi.T, y)))))
+    theta = np.zeros(len(box))
+    free = np.any(Phi != 0.0, axis=0) & (box > 0.0)
+    held = np.zeros(len(box), dtype=bool)
+    for step in range(1, max_iter + 1):
+        x, lim = theta[free], box[free]
+        z = _lstsq(Phi[:, free], y - det_matvec(Phi[:, held], theta[held]))
+        out = np.flatnonzero(np.abs(z) > lim)
+        if out.size:
+            alphas = (np.copysign(lim, z) - x)[out] / (z - x)[out]
+            i = out[np.argmin(alphas)]
+            theta[free] = np.clip(x + alphas.min() * (z - x), -lim, lim)
+            j = np.flatnonzero(free)[i]
+            theta[j], free[j], held[j] = math.copysign(box[j], z[i]), False, True
+            continue
+        theta[free] = z
+        push = np.sign(theta) * det_matvec(Phi.T, det_matvec(Phi, theta) - y)
+        j = int(np.argmax(np.where(held, push, 0.0)))
+        if not held[j] or push[j] <= g_tol:
+            return theta, step, True
+        free[j], held[j] = True, False
+    return theta, max_iter, False
 
 
 def _absolute_lp(Phi, y, box, max_iter):
@@ -473,37 +485,33 @@ def _absolute_lp(Phi, y, box, max_iter):
     return theta, int(res.nit), res.status == 0, dual
 
 
-def erm_fit(data, sys, K, loss="squared", seed=0, max_iter=200_000, tol=1e-13,
-            word_cap=200_000):
+def erm_fit(data, sys, K, loss="squared", max_iter=200_000, word_cap=200_000):
     """Empirical risk minimisation over the coefficient box.
 
-    The feature matrix Phi (N x p) enters only through the Gram form
-    G = Phi^T Phi / N and b = Phi^T y / N, built once with deterministic
-    reductions. Squared loss: accelerated projected gradient (FISTA, Beck
-    & Teboulle 2009) with gradient-based adaptive restart (O'Donoghue &
-    Candes 2015) on the p-dimensional problem, step 1/L with
-    L = 2 lambda_max(G) from power iteration; it stops on the KKT
-    (gradient-mapping) residual, scaled by tol (1 + |b|_inf). Absolute
-    loss: the exact LP, solved by HiGHS through scipy's linprog;
-    `converged` is the LP status, `n_iter` its iteration count and
-    `kkt_residual` the primal-dual gap. Deterministic given the seed; a
-    solver that hits `max_iter` reports converged=False and the model is
-    still returned."""
+    Squared loss is bounded-variable least squares, solved exactly by the
+    active-set method of `_bvls` on the feature matrix Phi (N x p) itself:
+    `n_iter` counts its steps (one least-squares solve each) and
+    `kkt_residual` is the unit-step projected gradient
+    max |theta - clip(theta - grad f(theta))| of f = mean squared
+    residual, recomputed at the returned theta. Absolute loss: the exact
+    LP, solved by HiGHS through scipy's linprog; `converged` is the LP
+    status, `n_iter` its iteration count and `kkt_residual` the
+    primal-dual gap. Both are deterministic; a solver that hits
+    `max_iter` reports converged=False and the model is still
+    returned."""
     words, Phi = feature_matrix(sys, data.x, K, word_cap=word_cap)
     box = coefficient_box(words, sys.M, sys.T)
     y = data.y
     N = data.N
 
     if loss == "squared":
-        G = det_matmul(Phi.T, Phi) / N
-        b = det_matvec(Phi.T, y) / N
-        lam_max = _lambda_max(G, seed)
-        L = 2.0 * lam_max if lam_max > 0 else 1.0
-        theta, grad, kkt, n_iter, converged = _fista_box(G, b, box, L, max_iter, tol)
+        theta, n_iter, converged = _bvls(Phi, y, box, max_iter)
         res = y - det_matvec(Phi, theta)
         train_risk = float((res**2).mean())
+        grad = -2.0 * det_matvec(Phi.T, res) / N
         grad_norm = det_norm(grad)
-        solver = "fista"
+        kkt = float(np.max(np.abs(theta - np.clip(theta - grad, -box, box))))
+        solver = "bvls"
     elif loss == "absolute":
         theta, n_iter, converged, dual = _absolute_lp(Phi, y, box, max_iter)
         res = y - det_matvec(Phi, theta)
@@ -608,7 +616,7 @@ def generalization_experiment(config):
         )
     N = train.N
 
-    model = erm_fit(train, sys_spec, K, loss=loss, seed=seed)
+    model = erm_fit(train, sys_spec, K, loss=loss)
     fitted = model.to_json_dict()
     train_risk = model.train_risk
     test_risk = model.risk(test.x, test.y) if test is not None else None

@@ -38,6 +38,10 @@ class ControlPath:
         if self.m < 1:
             raise ValueError("need m >= 1")
         bp = self.breakpoints
+        # NaN passes every comparison below, so finiteness is checked first
+        flat = [v for row in self.values for v in row]
+        if not all(map(math.isfinite, [self.M, *bp, *flat])):
+            raise ValueError("breakpoints, control values and M must be finite")
         if len(bp) < 1 or bp[0] != 0.0:
             raise ValueError("breakpoints must start at 0 and contain the horizon")
         for a, b in zip(bp, bp[1:]):
@@ -136,7 +140,7 @@ def _assert_simplex_bound(S, lengths, M, T):
     per_path = {mt: [signature_norm_bound(*mt, k) for k in levels]
                 for mt in set(zip(M, T))}
     bounds = np.array([per_path[mt] for mt in zip(M, T)])[:, lengths]
-    bad = np.abs(S) > bounds * (1 + 1e-12) + 1e-300
+    bad = ~(np.abs(S) <= bounds * (1 + 1e-12) + 1e-300)  # NaN is a violation
     if bad.any():
         b, j = np.argwhere(bad)[0]
         raise AssertionError(f"|S[{b}, {j}]| = {abs(S[b, j])} (order {lengths[j]}) "

@@ -190,7 +190,7 @@ def test_criterion_8_planted_model_erm():
     train, planted = make_dataset(built.spec, built.family, 500, 4, seed=888)
     test, _ = make_dataset(built.spec, built.family, 500, 4, seed=889,
                            planted=planted)
-    model = erm_fit(train, built.spec, 4, loss="squared", seed=888)
+    model = erm_fit(train, built.spec, 4, loss="squared")
     test_risk = model.risk(test.x, test.y)
     assert model.train_risk <= 1e-6
     assert test_risk <= 1e-4

@@ -69,6 +69,16 @@ def test_signature_subcommand(capsys_json, path_file):
     assert entries[(2, 1)] == 0.0
 
 
+def test_signature_rejects_nan_control_without_output(capsys, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"m": 1, "breakpoints": [0.0, 1.0],
+                                "values": [[math.nan]], "M": 1.0}))
+    assert "NaN" in path.read_text()
+    with pytest.raises(ValueError, match="must be finite"):
+        main(["signature", "--path", str(path), "--order", "2"])
+    assert capsys.readouterr().out == ""
+
+
 def test_lie_subcommand(capsys_json):
     out = capsys_json([
         "lie", "--system", "bilinear2d", "--word", "1,2",
@@ -229,7 +239,7 @@ def test_rademacher_and_erm_subcommands(capsys_json, tmp_path):
     assert 0.0 <= out["estimate"] <= 1.0
     out = capsys_json([
         "erm", "--system", "bilinear2d", "--data", str(csv_path),
-        "--m1", str(data.m1), "--order", "3", "--seed", "7",
+        "--m1", str(data.m1), "--order", "3",
     ])
     assert out["train_risk"] <= 1e-8
     for row in out["coefficients"]:
@@ -247,7 +257,7 @@ def test_erm_rejects_bad_label_bound_and_wrong_width_without_output(capsys, tmp_
     for path, m1, err, match in cases:
         with pytest.raises(err, match=match):
             main(["erm", "--system", "bilinear2d", "--data", str(path),
-                  "--m1", m1, "--order", "2", "--seed", "1"])
+                  "--m1", m1, "--order", "2"])
         assert capsys.readouterr().out == ""
 
 

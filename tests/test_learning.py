@@ -239,10 +239,19 @@ def test_rademacher_non_finite_features_raise_without_warnings():
                           T=0.3)
     data = Dataset(sample_ball(np.random.default_rng(16), 2, 1.0, 20), np.zeros(20),
                    1.0, 1.0)
-    assert not np.all(np.isfinite(feature_matrix(sys, data.x, 2)[1]))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(FloatingPointError, match="non-finite features"):
+            feature_matrix(sys, data.x, 2)
         with pytest.raises(FloatingPointError, match="non-finite"):
+            empirical_rademacher(data, sys, 2, n_controls=8, n_eps=16, seed=1)
+    # finite features (up to 8.7e307) whose pairing overflows
+    sys = bilinear_system([[[0.0, 1e154], [1e154, 0.0]]], c=(1.0, 0.0), r=1.0, M=1.0,
+                          T=0.3)
+    assert np.all(np.isfinite(feature_matrix(sys, data.x, 2)[1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(FloatingPointError, match="non-finite model outputs"):
             empirical_rademacher(data, sys, 2, n_controls=8, n_eps=16, seed=1)
 
 
@@ -290,7 +299,7 @@ def test_erm_order_zero_is_clipped_single_feature_regression():
     psi = X[:, 0]  # c^T x with c = e1
     y = 0.4 * psi + 0.05 * rng.uniform(-1, 1, 80)
     data = Dataset(X, y, 1.0, 2.0)
-    model = erm_fit(data, sys, 0, loss="squared", seed=1)
+    model = erm_fit(data, sys, 0, loss="squared")
     optimum = float(psi @ y / (psi @ psi))
     want = max(-1.0, min(1.0, optimum))
     assert model.theta[0] == pytest.approx(want, abs=1e-8)
@@ -301,7 +310,7 @@ def test_erm_zero_labels_zero_model():
     rng = np.random.default_rng(4)
     X = sample_ball(rng, 2, 1.0, 50)
     data = Dataset(X, np.zeros(50), 1.0, 1.0)
-    model = erm_fit(data, built.spec, 3, loss="squared", seed=1)
+    model = erm_fit(data, built.spec, 3, loss="squared")
     assert np.allclose(model.theta, 0.0)
     assert model.train_risk == 0.0
 
@@ -311,7 +320,7 @@ def test_erm_planted_recovery_small():
     train, planted = make_dataset(built.spec, built.family, 120, 3, seed=12)
     test, _ = make_dataset(built.spec, built.family, 120, 3, seed=13,
                            planted=planted)
-    model = erm_fit(train, built.spec, 3, loss="squared", seed=12)
+    model = erm_fit(train, built.spec, 3, loss="squared")
     assert model.train_risk <= 1e-10
     assert model.risk(test.x, test.y) <= 1e-8
     assert np.all(np.abs(model.theta) <= model.box * (1 + 1e-12))
@@ -320,17 +329,24 @@ def test_erm_planted_recovery_small():
 def test_erm_absolute_loss_reduces_risk():
     built = builtin_system("bilinear2d")
     train, _ = make_dataset(built.spec, built.family, 60, 2, seed=14)
-    model = erm_fit(train, built.spec, 2, loss="absolute", seed=14,
-                    max_iter=2_000)
+    model = erm_fit(train, built.spec, 2, loss="absolute", max_iter=2_000)
     base = float(np.abs(train.y).mean())
     assert model.train_risk < base
     assert np.all(np.abs(model.theta) <= model.box * (1 + 1e-12))
 
 
-def test_erm_nonconvergence_reported(tmp_path):
+def _doubled_bilinear():
+    # doubled planted labels push the optimum out of the box, so some
+    # coefficients end on their bounds
     built = builtin_system("bilinear2d")
-    train, _ = make_dataset(built.spec, built.family, 40, 2, seed=15)
-    model = erm_fit(train, built.spec, 2, loss="squared", seed=15, max_iter=3)
+    planted, _ = make_dataset(built.spec, built.family, 120, 3, seed=5)
+    return built.spec, Dataset(planted.x, 2.0 * planted.y, planted.r, 2.0 * planted.m1)
+
+
+def test_erm_nonconvergence_reported(tmp_path):
+    # the active set needs 5 steps on this input
+    sys, data = _doubled_bilinear()
+    model = erm_fit(data, sys, 3, loss="squared", max_iter=3)
     assert not model.converged
     assert model.n_iter == 3
     assert model.grad_norm > 0.0
@@ -339,15 +355,16 @@ def test_erm_nonconvergence_reported(tmp_path):
 def _squared_oracle(model, data):
     """(optimal risk, optimality violation at the fit): the optimum comes
     from scipy's bounded-variable least squares, an independent oracle for
-    the Gram-form solver; the violation is the unit-step projected
-    gradient at model.theta, recomputed here, which vanishes exactly at a
-    box-constrained optimum."""
+    the active-set solver, run to its KKT stop (tol 1e-13; its default
+    1e-10 can stop on a small cost change first); the violation is the
+    unit-step projected gradient at model.theta, recomputed here, which
+    vanishes exactly at a box-constrained optimum."""
     from scipy.optimize import lsq_linear
 
     _, Phi = feature_matrix(model.sys, data.x, model.K)
     scale = math.sqrt(data.N)
     sol = lsq_linear(Phi / scale, data.y / scale,
-                     bounds=(-model.box, model.box), method="bvls")
+                     bounds=(-model.box, model.box), method="bvls", tol=1e-13)
     assert sol.success
     grad = 2.0 * Phi.T @ (Phi @ model.theta - data.y) / data.N
     step = model.theta - np.clip(model.theta - grad, -model.box, model.box)
@@ -355,14 +372,10 @@ def _squared_oracle(model, data):
 
 
 def test_erm_squared_matches_bvls_with_active_box():
-    # doubled planted labels push the optimum out of the box, so some
-    # coefficients end on their bounds
-    built = builtin_system("bilinear2d")
-    planted, _ = make_dataset(built.spec, built.family, 120, 3, seed=5)
-    data = Dataset(planted.x, 2.0 * planted.y, planted.r, 2.0 * planted.m1)
-    model = erm_fit(data, built.spec, 3, loss="squared", seed=5)
+    sys, data = _doubled_bilinear()
+    model = erm_fit(data, sys, 3, loss="squared")
     assert model.converged and model.n_iter < 200_000
-    assert model.solver == "fista"
+    assert model.solver == "bvls"
     assert np.sum(np.abs(model.theta) == model.box) >= 1
     assert np.all(np.abs(model.theta) <= model.box)
     oracle, violation = _squared_oracle(model, data)
@@ -374,11 +387,45 @@ def test_erm_squared_matches_bvls_with_active_box():
 def test_erm_squared_matches_bvls_on_ill_conditioned_analytic():
     built = builtin_system("analytic1d")
     data, _ = make_dataset(built.spec, built.family, 200, 4, seed=7)
-    model = erm_fit(data, built.spec, 4, loss="squared", seed=7)
+    model = erm_fit(data, built.spec, 4, loss="squared")
     assert model.converged and model.n_iter < 200_000
     oracle, violation = _squared_oracle(model, data)
     assert model.train_risk <= oracle + 1e-12 * float((data.y**2).mean())
     assert violation <= 1e-11
+
+
+def test_erm_squared_matches_bvls_on_rank_deficient_hopfield():
+    built = builtin_system("hopfield2")
+    data, _ = make_dataset(built.spec, built.family, 200, 4, seed=7)
+    _, Phi = feature_matrix(built.spec, data.x, 4)
+    live = Phi[:, np.any(Phi != 0.0, axis=0)]
+    assert live.shape[1] == 63 and np.linalg.matrix_rank(live) < 63
+    model = erm_fit(data, built.spec, 4)
+    assert model.converged
+    oracle, violation = _squared_oracle(model, data)
+    # noise-free: both risks are rounding above 0
+    assert model.train_risk == pytest.approx(
+        oracle, rel=1e-10, abs=1e-12 * float((data.y**2).mean()))
+    assert violation <= 1e-11
+
+
+def test_erm_squared_matches_bvls_on_noisy_hopfield_with_active_box():
+    built = builtin_system("hopfield2")
+    noisy, _ = make_dataset(built.spec, built.family, 200, 4, seed=7, noise=0.05)
+    data = Dataset(noisy.x, 3.0 * noisy.y, noisy.r, 3.0 * noisy.m1)
+    model = erm_fit(data, built.spec, 4)
+    assert model.converged
+    assert np.sum(np.abs(model.theta) == model.box) >= 1
+    oracle, violation = _squared_oracle(model, data)
+    assert oracle > 0.1
+    assert model.train_risk == pytest.approx(oracle, rel=1e-10)
+    assert violation <= 1e-11
+
+
+def test_hopfield_default_experiment_needs_few_active_set_steps():
+    erm = generalization_experiment({"system": "hopfield2", "order": 4, "seed": 1})["erm"]
+    assert erm["solver"] == "bvls"
+    assert erm["converged"] and erm["n_iter"] <= 50
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0, -2.0])
@@ -389,14 +436,14 @@ def test_erm_absolute_loss_is_exact_lp(scale):
     sys = built.spec
     noisy, _ = make_dataset(sys, built.family, 80, 3, seed=9, noise=0.05)
     data = Dataset(noisy.x, scale * noisy.y, noisy.r, abs(scale) * noisy.m1)
-    model = erm_fit(data, sys, 3, loss="absolute", seed=9)
+    model = erm_fit(data, sys, 3, loss="absolute")
     assert model.converged and model.n_iter < 200_000
     assert model.solver == "linprog-highs"
     assert model.kkt_residual <= 1e-9
     assert np.all(np.abs(model.theta) <= model.box)
     if abs(scale) > 1.0:
         assert np.sum(np.abs(model.theta) == model.box) >= 1
-    squared = erm_fit(data, sys, 3, loss="squared", seed=9)
+    squared = erm_fit(data, sys, 3, loss="squared")
     _, Phi = feature_matrix(sys, data.x, 3)
     at_squared = float(np.abs(data.y - Phi @ squared.theta).mean())
     assert model.train_risk <= at_squared
@@ -406,7 +453,7 @@ def test_erm_absolute_loss_is_exact_lp(scale):
 def test_erm_absolute_iteration_cap_reported():
     built = builtin_system("bilinear2d")
     data, _ = make_dataset(built.spec, built.family, 80, 3, seed=9, noise=0.05)
-    model = erm_fit(data, built.spec, 3, loss="absolute", seed=9, max_iter=3)
+    model = erm_fit(data, built.spec, 3, loss="absolute", max_iter=3)
     assert not model.converged
     assert model.n_iter <= 3
     assert np.all(np.abs(model.theta) <= model.box)
@@ -422,7 +469,7 @@ def _strict_loads(text):
 def test_failed_lp_writes_strict_json(monkeypatch):
     built = builtin_system("bilinear2d")
     data, _ = make_dataset(built.spec, built.family, 80, 3, seed=9, noise=0.05)
-    model = erm_fit(data, built.spec, 3, loss="absolute", seed=9, max_iter=3)
+    model = erm_fit(data, built.spec, 3, loss="absolute", max_iter=3)
     assert math.isinf(model.kkt_residual)  # HiGHS stopped without a solution
     assert _strict_loads(report_to_json(model.to_json_dict()))["kkt_residual"] is None
 
@@ -473,9 +520,9 @@ BASE_CONFIG = {
 
 def test_experiment_report_complete_and_consistent():
     report = generalization_experiment(dict(BASE_CONFIG))
-    assert report["schema_version"] == 2
+    assert report["schema_version"] == 3
     erm = report["erm"]
-    assert erm["solver"] == "fista"
+    assert erm["solver"] == "bvls"
     assert erm["converged"] and 0 < erm["n_iter"] < 200_000
     assert 0.0 <= erm["kkt_residual"] <= 1e-12
     assert report["checks"]["empirical_le_certified"]

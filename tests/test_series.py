@@ -17,6 +17,7 @@ from chenfliess import (
     builtin_system,
     chen_fliess_eval,
     constant_path,
+    feature_matrix,
     lambda_k,
     ode_reference,
     parse_expr,
@@ -180,6 +181,21 @@ def test_pairing_matches_per_word_oracle_bit_for_bit():
                 assert ev.contributions == want
                 assert ev.value == math.fsum(want)
     assert ev.value == 0.5 and ev.contributions == (0.5, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_overflowing_features_raise_at_any_point_count(N):
+    # the order-2 feature is inf - inf: one point is walked in floats
+    # (math.fsum), two points in a numpy batch; both raise one error
+    sys = bilinear_system([[[1e200, 1e200], [-1e200, -1e200]]], c=(1.0, 0.0), r=1.0,
+                          M=1.0, T=0.3)
+    X = np.array([[0.5, 0.3], [0.1, 0.2]])[:N]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="non-finite features"):
+            feature_matrix(sys, X, 2)
+        with pytest.raises(FloatingPointError, match="non-finite features"):
+            chen_fliess_eval(sys, tuple(X[-1]), constant_path((1.0,), 0.3), 2)
 
 
 def test_sig_table_for_another_control_rejected():

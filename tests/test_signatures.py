@@ -35,6 +35,19 @@ def test_control_path_validates_breakpoints():
         ControlPath(1, (0.5, 1.0), ((0.5,),), M=1.0)
 
 
+@pytest.mark.parametrize("bp, values, M", [
+    ((0.0, 1.0), ((math.nan,),), 1.0),
+    ((0.0, 1.0), ((-math.inf,),), 1.0),
+    ((0.0, math.nan), ((0.5,),), 1.0),
+    ((0.0, math.inf), ((0.5,),), 1.0),
+    ((0.0, 1.0), ((0.5,),), math.nan),
+])
+def test_control_path_rejects_non_finite(bp, values, M):
+    # NaN passes every > check, so it once reached the signature
+    with pytest.raises(ValueError, match="must be finite"):
+        ControlPath(1, bp, values, M)
+
+
 def test_control_path_value_lookup():
     u = ControlPath(2, (0.0, 1.0, 2.0), ((1.0, 0.0), (0.0, -1.0)), M=1.0)
     assert u.value(1, 0.5) == 1.0
@@ -226,10 +239,11 @@ def test_corrupted_table_rejected():
     table = signature_up_to(u, 2)
     from chenfliess.signatures import SignatureTable
 
-    bad = table.row.copy()
-    bad[1] = 10.0  # the entry of word (1,)
-    with pytest.raises(AssertionError):
-        SignatureTable(u.m, 2, u.M, u.T, bad)
+    for value in (10.0, math.nan, math.inf):  # NaN passes every > check
+        bad = table.row.copy()
+        bad[1] = value  # the entry of word (1,)
+        with pytest.raises(AssertionError, match="violates the simplex bound"):
+            SignatureTable(u.m, 2, u.M, u.T, bad)
 
 
 def test_table_is_a_view_over_the_signature_row():
