@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Constant, Power, Primitive, Product, Sum, Var
 from .families import (  # re-exported: these are part of the bound calculators
     AnalyticFamily,
     BilinearFamily,
@@ -25,6 +24,7 @@ from .families import (  # re-exported: these are part of the bound calculators
     float_range_error,
     gamma_k,
 )
+from .lie import polynomial
 
 __all__ = [
     "AnalyticFamily",
@@ -255,67 +255,25 @@ def max_spectral_norm(matrices, tol=1e-10, seed=0):
     return max(spectral_norm(A, tol=tol, seed=seed) for A in matrices)
 
 
-def _merge_product(acc, part):
-    nxt = {}
-    for k1, c1 in acc.items():
-        for k2, c2 in part.items():
-            key = tuple(a + b for a, b in zip(k1, k2))
-            nxt[key] = nxt.get(key, 0.0) + c1 * c2
-    return nxt
-
-
-def _monomial_coefficients(e, n):
-    """Multi-index -> coefficient map for a polynomial Expr over x1..xn."""
-    zero = (0,) * n
-    if isinstance(e, Constant):
-        return {zero: e.value}
-    if isinstance(e, Var):
-        key = tuple(1 if j == e.index - 1 else 0 for j in range(n))
-        return {key: 1.0}
-    if isinstance(e, Sum):
-        acc = {}
-        for t in e.terms:
-            for k, c in _monomial_coefficients(t, n).items():
-                acc[k] = acc.get(k, 0.0) + c
-        return acc
-    if isinstance(e, Product):
-        acc = {zero: 1.0}
-        for f in e.factors:
-            acc = _merge_product(acc, _monomial_coefficients(f, n))
-        return acc
-    if isinstance(e, Power):
-        acc = {zero: 1.0}
-        base = _monomial_coefficients(e.base, n)
-        for _ in range(e.exponent):
-            acc = _merge_product(acc, base)
-        return acc
-    if isinstance(e, Primitive):
-        raise ValueError(
-            "polydisc helper handles polynomial fields only; supply a_r directly"
-        )
-    raise ValueError(f"not an expression node: {e!r}")
-
-
-def polynomial_polydisc_bound(fields, r, n=None):
+def polynomial_polydisc_bound(fields, r):
     """Coefficient-bounding estimate of the polydisc maximum modulus a(r)
     for polynomial vector fields.
 
-    Each monomial contributes |coefficient| * (3r)^(total degree): on the
-    polydisc of radius 2r about any point of the ball every coordinate
-    has modulus at most 3r. Raises for non-polynomial components.
+    Each monomial of a component's canonical polynomial contributes
+    |coefficient| * (3r)^(total degree): on the polydisc of radius 2r
+    about any point of the ball every coordinate has modulus at most 3r.
+    Raises for non-polynomial components.
     """
-    from .expressions import max_var_index
-
-    if n is None:
-        n = max(
-            (max_var_index(comp) for field_ in fields for comp in field_), default=1
-        )
     worst = 0.0
     for field_ in fields:
         for comp in field_:
-            coeffs = _monomial_coefficients(comp, n)
+            terms = polynomial(comp)
+            if any(a.name is not None for m, _ in terms for a, _ in m):
+                raise ValueError(
+                    "polydisc helper handles polynomial fields only; supply a_r directly"
+                )
             value = math.fsum(
-                abs(c) * (3.0 * r) ** sum(key) for key, c in coeffs.items()
+                abs(c) * (3.0 * r) ** sum(e for _, e in m) for m, c in terms
             )
             worst = max(worst, value)
     return worst

@@ -259,18 +259,22 @@ def eval_expr(e, x):
             acc *= eval_expr(f, x)
         return acc
     if isinstance(e, Power):
-        base = eval_expr(e.base, x)
-        if isinstance(base, np.ndarray):
-            with np.errstate(over="ignore"):  # saturates to +/-inf as below
-                return base**e.exponent
-        try:
-            return base**e.exponent
-        except OverflowError:
-            # saturate so integrator blow-up detection sees the sign
-            return math.inf if base > 0 or e.exponent % 2 == 0 else -math.inf
+        return power(eval_expr(e.base, x), e.exponent)
     if isinstance(e, Primitive):
         return get_primitive(e.name).evaluate(e.order, eval_expr(e.arg, x))
     raise ExprError(f"not an expression node: {e!r}")
+
+
+def power(base, exponent):
+    """base**exponent for a float or an array base; overflow saturates to
+    +/-inf, so integrator blow-up detection sees the sign."""
+    if isinstance(base, np.ndarray):
+        with np.errstate(over="ignore"):  # saturates to +/-inf as below
+            return base**exponent
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf if base > 0 or exponent % 2 == 0 else -math.inf
 
 
 def max_var_index(e):

@@ -1,13 +1,22 @@
 """Words over control channels and the iterated Lie derivative engine.
 
 A word w = (i1, ..., ik) indexes one term of the series expansion. The
-LieTable memoizes the scalar expressions obtained by differentiating the
-output map c^T x along the channel vector fields, sharing word prefixes:
-the entry for w extended by channel i is the Lie derivative of the entry
-for w along g_i. With that extension rule the bilinear entry for w is
-literally c^T A_{i1} ... A_{ik} x (left-to-right product). How entries
-pair with signature entries inside the series evaluator is settled by an
-ODE oracle; see chenfliess.series.
+LieTable memoizes the iterated Lie derivatives of the output map c^T x
+along the channel vector fields, sharing word prefixes: the entry for w
+extended by channel i is the Lie derivative of the entry for w along g_i.
+With that extension rule the bilinear entry for w is literally
+c^T A_{i1} ... A_{ik} x (left-to-right product). How entries pair with
+signature entries inside the series evaluator is settled by an ODE
+oracle; see chenfliess.series.
+
+Entries are computed and evaluated as canonical sparse polynomials with
+float coefficients over atoms: the state variables x_j and f^(k)(p) for
+a registered primitive f at a canonical argument polynomial p. L_g h =
+sum_j g_j dh/dx_j is one ring operation that collects like terms, and
+one kernel evaluates any set of entries at one point or at many.
+Expression trees stay the language: LieTable.entry and lie_derivative
+return the Expr rendered from the polynomial, so equal entries print the
+same.
 """
 
 from __future__ import annotations
@@ -17,30 +26,39 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import product as iter_product
+from operator import attrgetter
 
 import numpy as np
 
+from ._num import _CHUNK_ELEMENTS
 from .expressions import (
     Constant,
     ExprError,
+    Power,
+    Primitive,
     Product,
     Sum,
     Var,
     ZERO,
-    differentiate,
     eval_expr,
+    get_primitive,
     max_var_index,
     parse_expr,
+    power,
     simplify,
     to_text,
 )
+
+# not called here, but benchmark/tracer.py wraps this name in this module
+from .expressions import differentiate  # noqa: F401
 
 Word = tuple
 EMPTY_WORD: Word = ()
 
 
 class ResourceCapError(RuntimeError):
-    """Raised when an operation would enumerate more words than allowed."""
+    """Raised when an operation would enumerate more words, or collect more
+    terms in one Lie entry, than allowed."""
 
 
 def check_word_cap(m, k, cap):
@@ -193,55 +211,377 @@ def bilinear_system(matrices, c, r, M, T):
 
 
 # ---------------------------------------------------------------------------
+# Canonical polynomials
+#
+# A polynomial is a tuple of (monomial, coefficient) terms with nonzero
+# float coefficients; a monomial is a tuple of (atom, exponent) pairs.
+# Atoms sort by key, monomials lexicographically by their (atom, exponent)
+# pairs, and a polynomial lists its terms in monomial order, so the same
+# inputs are always summed in the same order, whatever hash() or id() do.
+
+# the most terms one Lie entry may collect before growth stops
+TERM_CAP = 10_000
+
+
+class Atom:
+    """x_index (name None) or the order-th derivative of the primitive
+    ``name`` at the canonical polynomial ``arg``. Interned per ring, so
+    one object stands for one key."""
+
+    __slots__ = ("key", "name", "order", "index", "arg", "arg_row", "expr", "rank",
+                 "slots")
+
+    def __init__(self, key, name, order, index, arg, expr):
+        self.key = key
+        self.name = name
+        self.order = order
+        self.index = index
+        self.arg = arg
+        self.arg_row = None
+        self.expr = expr
+        self.rank = 0  # position in key order among the ring's atoms
+        self.slots = []  # (slot, exponent) for each power the ring stores
+
+
+def _rank(pair):
+    return pair[0].rank
+
+
+def _mul(m1, m2):
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    d = dict(m1)
+    for a, e in m2:
+        d[a] = d.get(a, 0) + e
+    return tuple(sorted(d.items(), key=_rank))
+
+
+def _poly_key(p):
+    return tuple((tuple((a.key, e) for a, e in m), c) for m, c in p)
+
+
+def render(p):
+    """The Expr of the polynomial p: a sum of products, each the
+    coefficient (left out when 1) and then the atom powers."""
+    terms = []
+    for m, c in p:
+        factors = [a.expr if e == 1 else Power(a.expr, e) for a, e in m]
+        if c != 1.0 or not factors:
+            factors.insert(0, Constant(c))
+        terms.append(factors[0] if len(factors) == 1 else Product(tuple(factors)))
+    if not terms:
+        return ZERO
+    return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+
+
+_ONE = (((), 1.0),)
+
+
+class _Ring:
+    """Interned atoms, polynomial arithmetic, and stored rows (polynomials)
+    with the kernel that evaluates them."""
+
+    def __init__(self):
+        self._atoms = {}  # key -> Atom, in creation order: arguments first
+        self._sort_keys = {}  # monomial -> tuple of (rank, exponent)
+        self.polys = []  # row -> polynomial
+        self._arg_rows = {}  # argument polynomial -> row
+        self._monos = {}  # monomial -> id
+        self._mono_slots = []  # id -> slots of its powers, in monomial order
+        self._slots = {}  # (atom, exponent) -> slot
+        self._bounds = [0]  # row r holds terms _bounds[r]:_bounds[r + 1]
+        self._coef = []
+        self._mono = []
+        self._arrays = None
+
+    # -- atoms and canonical form ------------------------------------------
+
+    def _intern(self, key, name, order, index, arg):
+        a = self._atoms.get(key)
+        if a is None:
+            if name is None:
+                expr = Var(index)
+            else:
+                expr = Primitive(name, order, render(arg))
+            a = self._atoms[key] = Atom(key, name, order, index, arg, expr)
+            if arg is not None:
+                row = self._arg_rows.get(arg)
+                a.arg_row = row if row is not None else self.add_row(arg)
+                self._arg_rows[arg] = a.arg_row
+            for r, b in enumerate(sorted(self._atoms.values(), key=attrgetter("key"))):
+                b.rank = r
+            self._sort_keys.clear()
+        return a
+
+    def var(self, j):
+        return self._intern((0, j), None, 0, j, None)
+
+    def primitive(self, name, order, arg):
+        return self._intern((1, name, order, _poly_key(arg)), name, order, None, arg)
+
+    def _sort_key(self, term):
+        m = term[0]
+        key = self._sort_keys.get(m)
+        if key is None:
+            key = self._sort_keys[m] = tuple(x for a, e in m for x in (a.rank, e))
+        return key
+
+    def _canon(self, acc):
+        """The polynomial of a monomial -> coefficient dict: exact zeros
+        dropped, terms in monomial order."""
+        return tuple(sorted(((m, c) for m, c in acc.items() if c != 0.0),
+                            key=self._sort_key))
+
+    def _times(self, p, q):
+        acc = {}
+        for m1, c1 in p:
+            for m2, c2 in q:
+                m = _mul(m1, m2)
+                acc[m] = acc.get(m, 0.0) + c1 * c2
+        return self._canon(acc)
+
+    def poly(self, e):
+        """The canonical polynomial of the Expr e."""
+        if isinstance(e, Constant):
+            return () if e.value == 0.0 else (((), e.value),)
+        if isinstance(e, Var):
+            return ((((self.var(e.index), 1),), 1.0),)
+        if isinstance(e, Sum):
+            acc = {}
+            for t in e.terms:
+                for m, c in self.poly(t):
+                    acc[m] = acc.get(m, 0.0) + c
+            return self._canon(acc)
+        if isinstance(e, Product):
+            p = _ONE
+            for f in e.factors:
+                p = self._times(p, self.poly(f))
+            return p
+        if isinstance(e, Power):
+            if e.exponent < 0:
+                raise ExprError("Power exponent must be a nonnegative integer")
+            p, base = _ONE, self.poly(e.base)
+            for _ in range(e.exponent):
+                p = self._times(p, base)
+            return p
+        if isinstance(e, Primitive):
+            return ((((self.primitive(e.name, e.order, self.poly(e.arg)), 1),), 1.0),)
+        raise ExprError(f"not an expression node: {e!r}")
+
+    # -- Lie derivatives ---------------------------------------------------
+
+    def lie(self, h, field, cache, what):
+        """L_g h for the field g (one polynomial per state variable).
+        ``cache`` memoizes L_g of monomials and atoms for this field; a
+        result that collects more than TERM_CAP terms raises
+        ResourceCapError naming ``what``, a word or a description."""
+        acc = {}
+        for m, c in h:
+            for dm, dc in self._lie_monomial(m, field, cache, what):
+                acc[dm] = acc.get(dm, 0.0) + c * dc
+            if len(acc) > TERM_CAP:
+                name = f"the entry for word {what}" if isinstance(what, tuple) else what
+                raise ResourceCapError(
+                    f"{name} reached {len(acc)} terms, over the cap of "
+                    f"{TERM_CAP} terms per Lie entry; lower the order")
+        return self._canon(acc)
+
+    def _lie_monomial(self, m, field, cache, what):
+        got = cache.get(m)
+        if got is None:
+            acc = {}
+            for i, (a, e) in enumerate(m):
+                rest = m[:i] + ((a, e - 1),) + m[i + 1:] if e > 1 else m[:i] + m[i + 1:]
+                for dm, dc in self._lie_atom(a, field, cache, what):
+                    p = _mul(rest, dm)
+                    acc[p] = acc.get(p, 0.0) + e * dc
+            got = cache[m] = self._canon(acc)
+        return got
+
+    def _lie_atom(self, a, field, cache, what):
+        got = cache.get(a)
+        if got is None:
+            if a.name is None:
+                got = field[a.index - 1] if a.index <= len(field) else ()
+            else:  # chain rule: f^(k)(p)' = f^(k+1)(p) L_g p
+                nxt = ((self.primitive(a.name, a.order + 1, a.arg), 1),)
+                got = self._canon({_mul(m, nxt): c
+                                   for m, c in self.lie(a.arg, field, cache, what)})
+            cache[a] = got
+        return got
+
+    # -- stored rows and the evaluation kernel -----------------------------
+
+    def add_row(self, p):
+        """Store the polynomial p for evaluation; returns its row."""
+        for m, c in p:
+            mono = self._monos.get(m)
+            if mono is None:
+                mono = self._monos[m] = len(self._mono_slots)
+                slots = []
+                for a, e in m:
+                    slot = self._slots.get((a, e))
+                    if slot is None:
+                        slot = self._slots[(a, e)] = len(self._slots)
+                        a.slots.append((slot, e))
+                    slots.append(slot)
+                self._mono_slots.append(slots)
+            self._coef.append(c)
+            self._mono.append(mono)
+        self._bounds.append(len(self._coef))
+        self.polys.append(p)
+        return len(self.polys) - 1
+
+    def _stored_arrays(self):
+        size = (len(self._bounds), len(self._mono_slots))
+        if self._arrays is None or self._arrays[0] != size:
+            pad = len(self._slots)  # the slot that holds 1.0
+            width = max(map(len, self._mono_slots), default=0) or 1
+            factors = np.full((len(self._mono_slots), width), pad, dtype=np.intp)
+            for mono, slots in enumerate(self._mono_slots):
+                factors[mono, :len(slots)] = slots
+            self._arrays = (size, np.array(self._coef, dtype=float),
+                            np.array(self._mono, dtype=np.intp),
+                            np.array(self._bounds, dtype=np.intp), factors)
+        return self._arrays[1:]
+
+    def evaluate(self, rows, X):
+        """(N, len(rows)) values of the stored rows at the N points X[i].
+
+        Atom values come first, then each term as its coefficient times
+        its atom powers in monomial order. One point is evaluated in
+        floats and each row summed by math.fsum, so the value is
+        eval_expr's on the rendered Expr bit for bit; N points are
+        summed by numpy reductions, whose order depends only on shapes.
+        """
+        X = np.asarray(X, dtype=float)
+        N = X.shape[0]
+        scalar = N == 1
+        S = np.empty((len(self._slots) + 1, N))
+        S[-1] = 1.0
+        args = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a in self._atoms.values():
+                if not a.slots:
+                    continue
+                if a.name is None:
+                    v = float(X[0, a.index - 1]) if scalar else X[:, a.index - 1]
+                else:
+                    arg = args.get(a.arg_row)
+                    if arg is None:
+                        arg = self._sum([a.arg_row], S)[:, 0]
+                        arg = args[a.arg_row] = float(arg[0]) if scalar else arg
+                    v = get_primitive(a.name).evaluate(a.order, arg)
+                for slot, e in a.slots:
+                    S[slot] = v if e == 1 else power(v, e)
+            return self._sum(rows, S)
+
+    def _sum(self, rows, S):
+        """Per-row sums of the term values at the points (columns) of S."""
+        coef, mono, bounds, factors = self._stored_arrays()
+        rows = np.asarray(rows, dtype=np.intp)
+        N = S.shape[1]
+        out = np.zeros((N, len(rows)))
+        lo = bounds[rows]
+        count = bounds[rows + 1] - lo
+        start = np.cumsum(count) - count
+        T = int(count.sum())
+        if T == 0:
+            return out
+        terms = np.arange(T) + np.repeat(lo - start, count)
+        c = coef[terms, None]
+        f = factors[mono[terms]]
+        step = max(1, _CHUNK_ELEMENTS // T)
+        for s in range(0, N, step):
+            v = c * S[f[:, 0], s:s + step]
+            for col in range(1, f.shape[1]):
+                v *= S[f[:, col], s:s + step]
+            if N == 1:
+                single = count == 1
+                out[0, single] = v[start[single], 0]
+                flat, first, n = v[:, 0].tolist(), start.tolist(), count.tolist()
+                for r in np.flatnonzero(count > 1).tolist():
+                    out[0, r] = math.fsum(flat[first[r]:first[r] + n[r]])
+            else:
+                live = count > 0
+                out[s:s + step, live] = np.add.reduceat(v, start[live], axis=0).T
+        return out
+
+
+def polynomial(e):
+    """The canonical polynomial of the Expr e: (monomial, coefficient)
+    terms, each monomial a tuple of (Atom, exponent) pairs."""
+    return _Ring().poly(e)
+
+
+# ---------------------------------------------------------------------------
 # Lie derivatives
 
 
 def lie_derivative(h, g):
-    """L_g h = sum_j g_j * dh/dx_j, simplified."""
-    terms = tuple(
-        Product((gj, differentiate(h, j + 1))) for j, gj in enumerate(g)
-    )
-    return simplify(Sum(terms))
+    """L_g h = sum_j g_j * dh/dx_j, rendered from its canonical polynomial."""
+    ring = _Ring()
+    field = tuple(ring.poly(gj) for gj in g)
+    return render(ring.lie(ring.poly(h), field, {}, "L_g h"))
 
 
 class LieTable:
     """Memoized iterated Lie derivatives of c^T x over the word prefix tree.
 
     entry(()) is c^T x; entry(w + (i,)) = lie_derivative(entry(w), g_i).
-    Construction is single-writer; built entries may be read concurrently.
+    Entries are stored as canonical polynomials (polynomial(w)) and
+    rendered as Expr on request (entry(w)); evaluate(words, X) is the
+    feature kernel. Construction is single-writer; built entries may be
+    read concurrently.
     """
 
     def __init__(self, sys):
         self.sys = sys
-        self._entries = {EMPTY_WORD: sys.output_expr}
+        self._ring = _Ring()
+        self._fields = [tuple(self._ring.poly(comp) for comp in field) for field in sys.g]
+        self._caches = [{} for _ in sys.g]
+        self._rows = {EMPTY_WORD: self._ring.add_row(self._ring.poly(sys.output_expr))}
 
-    def entry(self, w):
-        w = validate_word(w, self.sys.m)
-        got = self._entries.get(w)
+    def _row(self, w):
+        got = self._rows.get(w)
         if got is not None:
             return got
+        w = validate_word(w, self.sys.m)
         # walk down from the deepest cached prefix
         k = len(w)
         start = k - 1
-        while start > 0 and w[:start] not in self._entries:
+        while start > 0 and w[:start] not in self._rows:
             start -= 1
-        e = self._entries[w[:start]]
+        p = self._ring.polys[self._rows[w[:start]]]
         for pos in range(start, k):
-            e = lie_derivative(e, self.sys.g[w[pos] - 1])
-            self._entries[w[: pos + 1]] = e
-        return e
+            i = w[pos] - 1
+            p = self._ring.lie(p, self._fields[i], self._caches[i], w[:pos + 1])
+            self._rows[w[:pos + 1]] = self._ring.add_row(p)
+        return self._rows[w]
+
+    def polynomial(self, w):
+        return self._ring.polys[self._row(validate_word(w, self.sys.m))]
+
+    def entry(self, w):
+        return render(self.polynomial(w))
+
+    def evaluate(self, words, X):
+        """(N, len(words)) array: the entry of words[j] (tuples) at X[i]."""
+        return self._ring.evaluate([self._row(w) for w in words], X)
 
     def ensure_depth(self, K, cap=None):
         if cap is not None:
             check_word_cap(self.sys.m, K, cap)
         for w in words_up_to(self.sys.m, K):
-            self.entry(w)
+            self._row(w)
 
     def __len__(self):
-        return len(self._entries)
+        return len(self._rows)
 
     def __contains__(self, w):
-        return tuple(w) in self._entries
+        return tuple(w) in self._rows
 
 
 def iterated_lie(table, w):
@@ -355,8 +695,10 @@ def lambda_k(sys, k, n_points=256, extra_points=(), word_cap=200_000, table=None
     best = -1.0
     best_word = None
     best_point = None
-    for w in words_of_length(sys.m, k):
-        v = np.abs(np.full(len(grid), eval_expr(table.entry(w), grid.T)))
+    words = list(words_of_length(sys.m, k))
+    values = np.abs(table.evaluate(words, grid))
+    for j, w in enumerate(words):
+        v = values[:, j]
         i = int(np.argmax(v))  # the first point attaining the word's max
         if v[i] > best:
             best, best_word, best_point = v[i], w, tuple(grid[i])

@@ -49,17 +49,12 @@ def feature_matrix(sys, X, K, lie_table=None, word_cap=200_000):
 
 def _features(lie_table, words, X):
     """Column j: the Lie entry for reversed words[j] (the pairing above) at
-    the rows of X; one point is walked in floats, N points in one batch.
-    A non-finite feature raises FloatingPointError either way."""
-    points = X[0].tolist() if len(X) == 1 else X.T
-    entries = [lie_table.entry(w[::-1]) for w in words]
-    Phi = np.empty((len(X), len(words)))
+    the rows of X, from the table's one kernel. A non-finite feature
+    raises FloatingPointError at one point and at many."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below
-            for j, e in enumerate(entries):
-                Phi[:, j] = eval_expr(e, points)
+        Phi = lie_table.evaluate([w[::-1] for w in words], X)
         finite = np.all(np.isfinite(Phi))
-    except (OverflowError, ValueError):  # math.fsum in the float walk
+    except (OverflowError, ValueError):  # math.fsum at one point
         finite = False
     if not finite:
         raise FloatingPointError("non-finite features: the Lie derivatives overflow "

@@ -52,7 +52,7 @@ def _analytic1d():
     spec = system_from_exprs(
         n=1, m=1, g_texts=[["1 + 0.25*x1^2"]], c=(1.0,), r=1.0, M=1.0, T=0.1
     )
-    a_r = polynomial_polydisc_bound(spec.g, spec.r, n=spec.n)
+    a_r = polynomial_polydisc_bound(spec.g, spec.r)
     return BuiltinSystem(
         name="analytic1d",
         spec=spec,

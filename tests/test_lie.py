@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -28,9 +29,10 @@ from chenfliess.expressions import (
     Var,
     eval_expr,
     parse_expr,
+    to_text,
 )
 
-from chenfliess.lie import _halton
+from chenfliess.lie import _halton, polynomial, render
 
 from conftest import bilinear_lie_oracle
 
@@ -142,6 +144,113 @@ def test_lie_table_growth_budget():
     table.ensure_depth(10)
     assert time.perf_counter() - t0 < 4.0
     assert len(table) == 11
+
+
+def _key(p):
+    # a polynomial by atom keys, comparable across tables
+    return tuple((tuple((a.key, e) for a, e in m), c) for m, c in p)
+
+
+def test_entries_round_trip_through_the_dsl():
+    for name, K in (("bilinear2d", 6), ("analytic1d", 8), ("hopfield2", 4)):
+        sys = builtin_system(name).spec
+        table = LieTable(sys)
+        texts = {}
+        for w in words_up_to(sys.m, K):
+            e = table.entry(w)
+            text = to_text(e)
+            back = polynomial(parse_expr(text, sys.n))
+            assert _key(back) == _key(table.polynomial(w)), (name, w)
+            assert render(back) == e, (name, w)
+            texts.setdefault(_key(back), set()).add(text)
+        # equal entries print the same
+        assert all(len(t) == 1 for t in texts.values()), name
+
+
+def test_polynomial_is_canonical():
+    # built in another order, the same polynomial is the same and prints the same
+    for a, b in (("x2 + x1", "x1 + x2"),
+                 ("x2*x1 - sigma(x2 + 0.5*x1)^2",
+                  "-sigma(0.5*x1 + x2)*sigma(x2 + x1*0.5) + x1*x2"),
+                 ("(x1 - x2)*(x1 + x2)", "x1^2 - x2^2")):
+        pa, pb = polynomial(parse_expr(a, 2)), polynomial(parse_expr(b, 2))
+        assert _key(pa) == _key(pb), (a, b)
+        assert to_text(render(pa)) == to_text(render(pb)), (a, b)
+
+
+def test_term_cap_stops_growth_naming_the_word(monkeypatch):
+    # the term count roughly triples per order: 31, 108, 339, 949 at k = 3..6
+    sys = system_from_exprs(2, 1, [["x1*x2 + tanh(x1 - x2)", "x1^2 + sigma(x2)"]],
+                            (1.0, 0.0), r=1.0, M=1.0, T=0.1)
+    monkeypatch.setattr("chenfliess.lie.TERM_CAP", 500)
+    table = LieTable(sys)
+    table.ensure_depth(5)
+    with pytest.raises(ResourceCapError) as info:
+        table.ensure_depth(6)
+    got = re.search(r"word \(1, 1, 1, 1, 1, 1\) reached (\d+) terms, over the cap "
+                    r"of 500", str(info.value))
+    # it stops while collecting, before the whole 949-term entry is built
+    assert got and 500 < int(got.group(1)) < 949
+    assert (1,) * 6 not in table and len(table) == 6
+    with pytest.raises(ResourceCapError, match="over the cap of 500"):
+        feature_matrix(sys, [[0.1, 0.2]], 6)
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: sympy differentiates the closed forms
+
+
+def _sympy_field(text, xs):
+    import sympy as sp
+
+    s = sp.Symbol("s")
+
+    def sigma(z):
+        return 1 / (1 + sp.exp(-z))
+
+    names = {"sigma": sigma, "dsigma": sp.Lambda(s, sp.diff(sigma(s), s)),
+             "tanh": sp.tanh, **{f"x{j + 1}": x for j, x in enumerate(xs)}}
+    return sp.sympify(text.replace("^", "**").replace("sigma'", "dsigma"),
+                      locals=names)
+
+
+def _sympy_features(sys, texts, K, X):
+    """Iterated Lie derivatives of c^T x in sympy, evaluated at 40 digits."""
+    import mpmath
+    import sympy as sp
+
+    xs = sp.symbols(f"x1:{sys.n + 1}")
+    g = [[_sympy_field(t, xs) for t in field] for field in texts]
+    entries = {(): sum(ci * x for ci, x in zip(sys.c, xs))}
+    out = np.empty((len(X), len(words_up_to(sys.m, K))))
+    with mpmath.workdps(40):
+        for j, w in enumerate(words_up_to(sys.m, K)):
+            if w:
+                h = entries[w[:-1]]
+                entries[w] = sum(gj * sp.diff(h, x) for gj, x in zip(g[w[-1] - 1], xs))
+            f = sp.lambdify(xs, entries[w], "mpmath")
+            for i, p in enumerate(X):
+                out[i, j] = float(f(*[mpmath.mpf(float(v)) for v in p]))
+    return out
+
+
+def test_lie_entries_match_sympy():
+    tanh_g = [["tanh(x2)", "0.5*x1"], ["1", "tanh(x1)*x2"]]
+    mixed_g = [["tanh(0.5*x1 - x2)^2", "sigma'(x2)"], ["x2", "-x1*sigma(x1)"]]
+    cases = [(builtin_system("hopfield2").spec, None, 4),
+             (builtin_system("analytic1d").spec, None, 8),
+             (system_from_exprs(2, 2, tanh_g, (0.6, 0.8), 1.0, 1.0, 0.2), tanh_g, 4),
+             (system_from_exprs(2, 2, mixed_g, (1.0, -0.5), 1.0, 1.0, 0.2), mixed_g, 3)]
+    for sys, texts, K in cases:
+        texts = texts or sys.to_json_dict()["g"]
+        X = domain_grid(sys.n, sys.r, n_points=2)
+        want = _sympy_features(sys, texts, K, X)
+        table = LieTable(sys)
+        words = words_up_to(sys.m, K)
+        batch = table.evaluate(words, X)
+        single = np.vstack([table.evaluate(words, X[i:i + 1]) for i in range(len(X))])
+        for got in (batch, single):
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), texts
 
 
 # ---------------------------------------------------------------------------
