@@ -41,7 +41,6 @@ from .expressions import (
     UnknownPrimitiveError,
     Var,
     VariableIndexError,
-    differentiate,
     eval_expr,
     get_primitive,
     parse_expr,
@@ -73,6 +72,7 @@ from .lie import (
     SystemSpec,
     Word,
     bilinear_system,
+    differentiate,
     domain_grid,
     iterated_lie,
     lambda_k,

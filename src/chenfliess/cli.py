@@ -14,7 +14,7 @@ import sys as _sys
 import numpy as np
 
 from .bounds import PreconditionError, _closed_form_bound, theorem1_bound
-from .expressions import eval_expr, parse_expr, to_text
+from .expressions import parse_expr, to_text
 from .families import FAMILY_KINDS, family_from_json_dict, family_to_json_dict
 from .learning import (
     Dataset,
@@ -86,7 +86,7 @@ def cmd_lie(args):
                 raise ValueError(
                     f"--point has {len(point)} components, system has n = {spec.n}"
                 )
-            payload["value"] = eval_expr(expr, point)
+            payload["value"] = float(table.evaluate([w], [point])[0, 0])
     if args.lambda_k is not None:
         rep = lambda_k(spec, args.lambda_k, n_points=args.grid)
         payload["lambda_k"] = rep.to_json_dict()

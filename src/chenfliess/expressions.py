@@ -1,9 +1,10 @@
 """Symbolic scalar expressions over state variables x1..xn.
 
-Expression trees are the substrate for iterated Lie derivatives: vector
-field components and output maps are Expr values, and exact
-differentiation, simplification and pointwise evaluation are the only
-operations the rest of the library needs. Analytic nonlinearities
+Expression trees are the language of the library: vector field
+components and output maps are Expr values, parsed from and printed to
+the DSL, simplified and evaluated at one point. Derivatives are computed
+on canonical polynomials in chenfliess.lie (differentiate,
+lie_derivative) and rendered back as Expr. Analytic nonlinearities
 (sigmoid, tanh, ...) enter through a registry of primitives that can
 evaluate and bound any derivative order.
 """
@@ -104,7 +105,8 @@ class PrimitiveSpec:
 
     ``evaluate(order, x)`` returns the order-th derivative at x: a float
     for a float x, and elementwise an array of the same shape for a 1-D
-    float array x (``eval_expr`` on a batch of points passes one).
+    float array x (the feature kernel ``LieTable.evaluate`` at many points
+    passes one).
     ``magnitude_bound(order, interval)`` returns an upper bound on
     |f^(order)| over the interval (bounds here are global over R, the
     interval argument is accepted for future tightening).
@@ -236,9 +238,8 @@ register_primitive(
 
 
 def eval_expr(e, x):
-    """Evaluate ``e`` at the point ``x`` (sequence indexed by x1..xn), or in
-    one tree walk at the N points of an (n, N) array: a length-N array (a
-    float for constant ``e``) that matches pointwise values to rounding."""
+    """Evaluate ``e`` in float arithmetic at the point ``x`` (a sequence
+    indexed by x1..xn); sums are compensated (math.fsum)."""
     if isinstance(e, Constant):
         return e.value
     if isinstance(e, Var):
@@ -246,13 +247,9 @@ def eval_expr(e, x):
             raise VariableIndexError(
                 f"x{e.index} out of range for point of dimension {len(x)}"
             )
-        v = x[e.index - 1]
-        return v if isinstance(v, np.ndarray) else float(v)
+        return float(x[e.index - 1])
     if isinstance(e, Sum):
-        vals = [eval_expr(t, x) for t in e.terms]
-        if isinstance(x, np.ndarray) and x.ndim == 2:
-            return sum(vals[1:], vals[0])
-        return math.fsum(vals)
+        return math.fsum(eval_expr(t, x) for t in e.terms)
     if isinstance(e, Product):
         acc = 1.0
         for f in e.factors:
@@ -362,41 +359,6 @@ def simplify(e):
         return Power(base, e.exponent)
     if isinstance(e, Primitive):
         return Primitive(e.name, e.order, simplify(e.arg))
-    raise ExprError(f"not an expression node: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# Differentiation
-
-
-def differentiate(e, j):
-    """Exact partial derivative of ``e`` with respect to x_j, simplified."""
-    if j < 1:
-        raise ExprError("variable index must be >= 1")
-    return simplify(_diff(e, j))
-
-
-def _diff(e, j):
-    if isinstance(e, Constant):
-        return ZERO
-    if isinstance(e, Var):
-        return ONE if e.index == j else ZERO
-    if isinstance(e, Sum):
-        return Sum(tuple(_diff(t, j) for t in e.terms))
-    if isinstance(e, Product):
-        terms = []
-        fs = e.factors
-        for i in range(len(fs)):
-            terms.append(Product(fs[:i] + (_diff(fs[i], j),) + fs[i + 1 :]))
-        return Sum(tuple(terms))
-    if isinstance(e, Power):
-        if e.exponent == 0:
-            return ZERO
-        return Product(
-            (Constant(float(e.exponent)), Power(e.base, e.exponent - 1), _diff(e.base, j))
-        )
-    if isinstance(e, Primitive):
-        return Product((Primitive(e.name, e.order + 1, e.arg), _diff(e.arg, j)))
     raise ExprError(f"not an expression node: {e!r}")
 
 

@@ -19,6 +19,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import product as iter_product
 
 import numpy as np
@@ -231,8 +232,7 @@ class RademacherEstimate:
         }
 
 
-def empirical_rademacher(data, sys, K, n_controls, n_eps, seed, pieces=3,
-                         word_cap=200_000):
+def empirical_rademacher(data, sys, K, n_controls, n_eps, seed, pieces=3):
     """Monte Carlo estimate of E_eps sup_u |sum_i eps_i model_u(X_i)| / N.
 
     Each control path derives its stream from (seed, index), so results
@@ -242,11 +242,11 @@ def empirical_rademacher(data, sys, K, n_controls, n_eps, seed, pieces=3,
     entries, so each sup over {u, -u} is |S_even A_even| + |S_odd A_odd|."""
     if n_controls < 1 or n_eps < 1:
         raise ValueError("need n_controls >= 1 and n_eps >= 1")
-    _, Phi = feature_matrix(sys, data.x, K, word_cap=word_cap)
+    _, Phi = feature_matrix(sys, data.x, K)
     live = np.flatnonzero(np.any(Phi != 0.0, axis=0))
     paths = [random_control_path(np.random.default_rng([seed, 1, c]), sys.m,
                                  sys.M, sys.T, pieces) for c in range(n_controls)]
-    sigs = signature_matrix(paths, K, word_cap=word_cap)[:, live]
+    sigs = signature_matrix(paths, K)[:, live]
     odd = word_lengths(sys.m, K)[live] % 2 == 1
     eps = np.random.default_rng([seed, 2]).integers(0, 2, size=(n_eps, data.N)) * 2.0 - 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below
@@ -304,9 +304,8 @@ def jensen_lemma_check(psi, points, n_eps=10_000, seed=0, method="mc"):
     method="exact" enumerates all sign patterns (N <= 20)."""
     points = np.asarray(points, dtype=float)
     if isinstance(psi, Expr):
-        values = np.full(len(points), eval_expr(psi, points.T))
-    else:
-        values = np.array([float(psi(p)) for p in points])
+        psi = partial(eval_expr, psi)
+    values = np.array([float(psi(p)) for p in points])
     N = len(values)
     rhs = math.sqrt(N) * float(np.max(np.abs(values))) if N else 0.0
     if method == "exact":
@@ -485,7 +484,7 @@ def _absolute_lp(Phi, y, box, max_iter):
     return theta, int(res.nit), res.status == 0, dual
 
 
-def erm_fit(data, sys, K, loss="squared", max_iter=200_000, word_cap=200_000):
+def erm_fit(data, sys, K, loss="squared", max_iter=200_000):
     """Empirical risk minimisation over the coefficient box.
 
     Squared loss is bounded-variable least squares, solved exactly by the
@@ -499,7 +498,7 @@ def erm_fit(data, sys, K, loss="squared", max_iter=200_000, word_cap=200_000):
     primal-dual gap. Both are deterministic; a solver that hits
     `max_iter` reports converged=False and the model is still
     returned."""
-    words, Phi = feature_matrix(sys, data.x, K, word_cap=word_cap)
+    words, Phi = feature_matrix(sys, data.x, K)
     box = coefficient_box(words, sys.M, sys.T)
     y = data.y
     N = data.N

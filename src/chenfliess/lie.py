@@ -14,9 +14,9 @@ float coefficients over atoms: the state variables x_j and f^(k)(p) for
 a registered primitive f at a canonical argument polynomial p. L_g h =
 sum_j g_j dh/dx_j is one ring operation that collects like terms, and
 one kernel evaluates any set of entries at one point or at many.
-Expression trees stay the language: LieTable.entry and lie_derivative
-return the Expr rendered from the polynomial, so equal entries print the
-same.
+Expression trees stay the language: LieTable.entry, lie_derivative and
+differentiate (L along the coordinate field e_j) return the Expr rendered
+from the polynomial, so equal entries print the same.
 """
 
 from __future__ import annotations
@@ -34,13 +34,13 @@ from ._num import _CHUNK_ELEMENTS
 from .expressions import (
     Constant,
     ExprError,
+    ONE,
     Power,
     Primitive,
     Product,
     Sum,
     Var,
     ZERO,
-    eval_expr,
     get_primitive,
     max_var_index,
     parse_expr,
@@ -50,7 +50,7 @@ from .expressions import (
 )
 
 # not called here, but benchmark/tracer.py wraps this name in this module
-from .expressions import differentiate  # noqa: F401
+from .expressions import eval_expr  # noqa: F401
 
 Word = tuple
 EMPTY_WORD: Word = ()
@@ -58,16 +58,20 @@ EMPTY_WORD: Word = ()
 
 class ResourceCapError(RuntimeError):
     """Raised when an operation would enumerate more words, or collect more
-    terms in one Lie entry, than allowed."""
+    terms in one polynomial, than allowed."""
 
 
-def check_word_cap(m, k, cap):
+# the most words of one length an operation may enumerate
+WORD_CAP = 200_000
+
+
+def check_word_cap(m, k):
     if k < 0:
         raise ValueError("need K >= 0")
     count = m**k
-    if count > cap:
+    if count > WORD_CAP:
         raise ResourceCapError(
-            f"{m}^{k} = {count} words exceeds the cap of {cap}; "
+            f"{m}^{k} = {count} words exceeds the cap of {WORD_CAP}; "
             "use a closed-form bound family instead of enumeration"
         )
 
@@ -146,25 +150,8 @@ class SystemSpec:
         if len(self.c) != self.n:
             raise ValueError(f"output vector c must have {self.n} components")
 
-    @property
-    def output_expr(self):
-        terms = tuple(
-            Product((Constant(float(ci)), Var(j + 1)))
-            for j, ci in enumerate(self.c)
-            if ci != 0
-        )
-        return simplify(Sum(terms)) if terms else ZERO
-
     def c_norm(self):
         return math.sqrt(math.fsum(ci * ci for ci in self.c))
-
-    def field_matrix_at(self, x):
-        """G(x) as an (n, m) array, columns g_1(x) .. g_m(x)."""
-        out = np.empty((self.n, self.m))
-        for i, field in enumerate(self.g):
-            for j, comp in enumerate(field):
-                out[j, i] = eval_expr(comp, x)
-        return out
 
     def to_json_dict(self):
         return {
@@ -219,7 +206,8 @@ def bilinear_system(matrices, c, r, M, T):
 # pairs, and a polynomial lists its terms in monomial order, so the same
 # inputs are always summed in the same order, whatever hash() or id() do.
 
-# the most terms one Lie entry may collect before growth stops
+# the most terms one polynomial (a Lie entry, an expanded product or
+# power) may collect before the ring stops
 TERM_CAP = 10_000
 
 
@@ -334,12 +322,18 @@ class _Ring:
         return tuple(sorted(((m, c) for m, c in acc.items() if c != 0.0),
                             key=self._sort_key))
 
-    def _times(self, p, q):
+    def _times(self, p, q, e):
+        """p q, expanding the Expr e: more than TERM_CAP terms raises
+        ResourceCapError naming e."""
         acc = {}
         for m1, c1 in p:
             for m2, c2 in q:
                 m = _mul(m1, m2)
                 acc[m] = acc.get(m, 0.0) + c1 * c2
+        if len(acc) > TERM_CAP:
+            raise ResourceCapError(
+                f"expanding {to_text(e)} reached {len(acc)} terms, over the cap of "
+                f"{TERM_CAP} terms per polynomial")
         return self._canon(acc)
 
     def poly(self, e):
@@ -357,14 +351,14 @@ class _Ring:
         if isinstance(e, Product):
             p = _ONE
             for f in e.factors:
-                p = self._times(p, self.poly(f))
+                p = self._times(p, self.poly(f), e)
             return p
         if isinstance(e, Power):
             if e.exponent < 0:
                 raise ExprError("Power exponent must be a nonnegative integer")
             p, base = _ONE, self.poly(e.base)
             for _ in range(e.exponent):
-                p = self._times(p, base)
+                p = self._times(p, base, e)
             return p
         if isinstance(e, Primitive):
             return ((((self.primitive(e.name, e.order, self.poly(e.arg)), 1),), 1.0),)
@@ -527,6 +521,14 @@ def lie_derivative(h, g):
     return render(ring.lie(ring.poly(h), field, {}, "L_g h"))
 
 
+def differentiate(e, j):
+    """Exact partial derivative of e in x_j: the Lie derivative along the
+    coordinate field e_j, rendered from its canonical polynomial."""
+    if j < 1:
+        raise ExprError("variable index must be >= 1")
+    return lie_derivative(e, (ZERO,) * (j - 1) + (ONE,))
+
+
 class LieTable:
     """Memoized iterated Lie derivatives of c^T x over the word prefix tree.
 
@@ -542,7 +544,9 @@ class LieTable:
         self._ring = _Ring()
         self._fields = [tuple(self._ring.poly(comp) for comp in field) for field in sys.g]
         self._caches = [{} for _ in sys.g]
-        self._rows = {EMPTY_WORD: self._ring.add_row(self._ring.poly(sys.output_expr))}
+        c_x = self._ring._canon({((self._ring.var(j + 1), 1),): float(ci)
+                                 for j, ci in enumerate(sys.c) if ci != 0})
+        self._rows = {EMPTY_WORD: self._ring.add_row(c_x)}
 
     def _row(self, w):
         got = self._rows.get(w)
@@ -571,9 +575,8 @@ class LieTable:
         """(N, len(words)) array: the entry of words[j] (tuples) at X[i]."""
         return self._ring.evaluate([self._row(w) for w in words], X)
 
-    def ensure_depth(self, K, cap=None):
-        if cap is not None:
-            check_word_cap(self.sys.m, K, cap)
+    def ensure_depth(self, K):
+        check_word_cap(self.sys.m, K)
         for w in words_up_to(self.sys.m, K):
             self._row(w)
 
@@ -675,14 +678,14 @@ class LambdaReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def lambda_k(sys, k, n_points=256, extra_points=(), word_cap=200_000, table=None):
+def lambda_k(sys, k, n_points=256, extra_points=(), table=None):
     """Sampled max of |L_w c^T x| over all m^k words and a ball grid.
 
     The grid always contains the axis points and +/- r c/|c|, so the k=0
     value attains r for unit-norm c. Refuses to enumerate more than
-    word_cap words; use the closed-form families beyond that.
+    WORD_CAP words; use the closed-form families beyond that.
     """
-    check_word_cap(sys.m, k, word_cap)
+    check_word_cap(sys.m, k)
     extras = list(extra_points)
     cn = sys.c_norm()
     if cn > 0:

@@ -34,10 +34,10 @@ class OdeBlowupError(RuntimeError):
         self.t = t
 
 
-def feature_matrix(sys, X, K, lie_table=None, word_cap=200_000):
+def feature_matrix(sys, X, K, lie_table=None):
     """(words, Phi) with Phi[i, j] the feature of word words[j] at X[i],
     so a coefficient vector is comparable with a signature."""
-    check_word_cap(sys.m, K, word_cap)
+    check_word_cap(sys.m, K)
     if lie_table is None:
         lie_table = LieTable(sys)
     X = np.asarray(X, dtype=float)
@@ -104,7 +104,7 @@ class SeriesEvaluation:
 
 
 def chen_fliess_eval(sys, x0, u, K, family=None, lie_table=None, sig_table=None,
-                     ode_step=None, word_cap=200_000):
+                     ode_step=None):
     """Evaluate the order-K truncated series at x0 under the control u.
 
     Pass lie_table / sig_table to share work across calls on the same
@@ -125,11 +125,11 @@ def chen_fliess_eval(sys, x0, u, K, family=None, lie_table=None, sig_table=None,
         raise ValueError(f"x0 has {len(x0)} components, system has n = {sys.n}")
     if math.sqrt(math.fsum(v * v for v in x0)) > sys.r * (1 + 1e-12):
         raise ValueError(f"|x0| exceeds the domain radius {sys.r}")
-    check_word_cap(sys.m, K, word_cap)
+    check_word_cap(sys.m, K)
     if lie_table is None:
         lie_table = LieTable(sys)
     if sig_table is None or sig_table.K < K:
-        sig_table = signature_up_to(u, K, word_cap=word_cap)
+        sig_table = signature_up_to(u, K)
     elif (sig_table.m, sig_table.M, sig_table.T) != (u.m, u.M, u.T):
         raise ValueError("sig_table was built for a control of another (m, M, T)")
 

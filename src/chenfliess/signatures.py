@@ -147,7 +147,7 @@ def _assert_simplex_bound(S, lengths, M, T):
                              f"violates the simplex bound {bounds[b, j]}")
 
 
-def signature_matrix(paths, K, word_cap=200_000):
+def signature_matrix(paths, K):
     """(B, W) signatures of B paths, columns in words_up_to(m, K) order
     (level k is the C-order (B, m^k) block, first letter slowest).
 
@@ -158,19 +158,19 @@ def signature_matrix(paths, K, word_cap=200_000):
     results do not depend on the thread count; every row is checked
     against its path's simplex bound."""
     paths = list(paths)
-    S = _chen_product(paths, K, word_cap)
+    S = _chen_product(paths, K)
     _assert_simplex_bound(S, word_lengths(paths[0].m, K), [u.M for u in paths],
                           [u.T for u in paths])
     return S
 
 
-def _chen_product(paths, K, word_cap):
+def _chen_product(paths, K):
     """The unchecked kernel of signature_matrix; its callers check the
     simplex bound once."""
     if len({u.m for u in paths}) != 1:
         raise ValueError("need one or more paths with the same channel count")
     m = paths[0].m
-    check_word_cap(m, K, word_cap)
+    check_word_cap(m, K)
     B = len(paths)
     steps = np.zeros((max(u.pieces for u in paths), B, m))  # dt * u per piece
     for b, u in enumerate(paths):
@@ -264,8 +264,8 @@ class SignatureTable:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def signature_up_to(u, K, word_cap=200_000):
+def signature_up_to(u, K):
     """All entries for |w| <= K: row 0 of signature_matrix([u], K), the
     Chen product of the truncated exponentials of u's pieces. The
     SignatureTable checks the simplex bound."""
-    return SignatureTable(m=u.m, K=K, M=u.M, T=u.T, row=_chen_product([u], K, word_cap)[0])
+    return SignatureTable(m=u.m, K=K, M=u.M, T=u.T, row=_chen_product([u], K)[0])

@@ -14,6 +14,13 @@ from scipy.integrate import quad
 from chenfliess import ControlPath
 
 
+def sympy_sigma(z):
+    """The logistic function in closed form, for sympy oracles."""
+    import sympy as sp
+
+    return 1 / (1 + sp.exp(-z))
+
+
 def random_path(rng, m, M, T, max_pieces=6):
     """Random piecewise-constant control with 1..max_pieces pieces."""
     pieces = int(rng.integers(1, max_pieces + 1))

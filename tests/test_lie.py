@@ -12,6 +12,7 @@ from chenfliess import (
     builtin_system,
     chen_fliess_eval,
     constant_path,
+    differentiate,
     domain_grid,
     erm_fit,
     feature_matrix,
@@ -34,7 +35,7 @@ from chenfliess.expressions import (
 
 from chenfliess.lie import _halton, polynomial, render
 
-from conftest import bilinear_lie_oracle
+from conftest import bilinear_lie_oracle, sympy_sigma
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +205,7 @@ def _sympy_field(text, xs):
     import sympy as sp
 
     s = sp.Symbol("s")
-
-    def sigma(z):
-        return 1 / (1 + sp.exp(-z))
-
-    names = {"sigma": sigma, "dsigma": sp.Lambda(s, sp.diff(sigma(s), s)),
+    names = {"sigma": sympy_sigma, "dsigma": sp.Lambda(s, sp.diff(sympy_sigma(s), s)),
              "tanh": sp.tanh, **{f"x{j + 1}": x for j, x in enumerate(xs)}}
     return sp.sympify(text.replace("^", "**").replace("sigma'", "dsigma"),
                       locals=names)
@@ -334,7 +331,42 @@ def test_lambda_k_matches_pointwise_reference():
 def test_lambda_k_resource_guard():
     built = builtin_system("hopfield2")
     with pytest.raises(ResourceCapError):
-        lambda_k(built.spec, 10, word_cap=1000)
+        lambda_k(built.spec, 10)
+
+
+def test_one_word_cap(monkeypatch):
+    # every enumerating call reads lie.WORD_CAP when it runs
+    sys = builtin_system("bilinear2d").spec
+    u = constant_path((1.0, 0.0), sys.T)
+    monkeypatch.setattr("chenfliess.lie.WORD_CAP", 2**5)
+    feature_matrix(sys, [[0.1, 0.2]], 5)
+    for call in (lambda: feature_matrix(sys, [[0.1, 0.2]], 6),
+                 lambda: chen_fliess_eval(sys, (0.1, 0.2), u, 6),
+                 lambda: signature_matrix([u], 6),
+                 lambda: lambda_k(sys, 6),
+                 lambda: LieTable(sys).ensure_depth(6)):
+        with pytest.raises(ResourceCapError, match="2\\^6 = 64 words exceeds the cap of 32"):
+            call()
+
+
+def test_expansion_stops_at_the_term_cap(monkeypatch):
+    # (x1 + ... + x5)^k has C(k + 4, 4) terms: the 20th factor makes 10,626
+    text = "(x1 + x2 + x3 + x4 + x5)^24"
+    sys = system_from_exprs(5, 1, [[text, "0", "0", "0", "0"]], (1.0, 0, 0, 0, 0),
+                            r=1.0, M=1.0, T=0.1)
+    with pytest.raises(ResourceCapError, match=(
+            r"expanding \(x1 \+ x2 \+ x3 \+ x4 \+ x5\)\^24 reached 10626 terms, "
+            r"over the cap of 10000")):
+        LieTable(sys)
+    # the same guard, at a lower cap to save time: the 9th factor makes 715
+    monkeypatch.setattr("chenfliess.lie.TERM_CAP", 500)
+    with pytest.raises(ResourceCapError, match="reached 715 terms, over the cap of 500"):
+        differentiate(parse_expr(text, 5), 1)
+    monkeypatch.undo()
+    assert len(polynomial(parse_expr("(x1 + x2)^50", 2))) == 51
+    sys = system_from_exprs(2, 1, [["(x1 + x2)^50", "x1"]], (1.0, 0.0), r=1.0, M=1.0,
+                            T=0.1)
+    assert len(LieTable(sys).polynomial((1,))) == 51
 
 
 @pytest.mark.parametrize("call", [
