@@ -330,10 +330,10 @@ class _Ring:
             for m2, c2 in q:
                 m = _mul(m1, m2)
                 acc[m] = acc.get(m, 0.0) + c1 * c2
-        if len(acc) > TERM_CAP:
-            raise ResourceCapError(
-                f"expanding {to_text(e)} reached {len(acc)} terms, over the cap of "
-                f"{TERM_CAP} terms per polynomial")
+            if len(acc) > TERM_CAP:
+                raise ResourceCapError(
+                    f"expanding {to_text(e)} reached {len(acc)} terms, over the cap "
+                    f"of {TERM_CAP} terms per polynomial")
         return self._canon(acc)
 
     def poly(self, e):
@@ -376,10 +376,10 @@ class _Ring:
             for dm, dc in self._lie_monomial(m, field, cache, what):
                 acc[dm] = acc.get(dm, 0.0) + c * dc
             if len(acc) > TERM_CAP:
-                name = f"the entry for word {what}" if isinstance(what, tuple) else what
-                raise ResourceCapError(
-                    f"{name} reached {len(acc)} terms, over the cap of "
-                    f"{TERM_CAP} terms per Lie entry; lower the order")
+                msg = f"{what} reached {len(acc)} terms, over the cap of {TERM_CAP} terms"
+                if isinstance(what, tuple):
+                    msg = f"the entry for word {msg} per Lie entry; lower the order"
+                raise ResourceCapError(msg)
         return self._canon(acc)
 
     def _lie_monomial(self, m, field, cache, what):
@@ -516,17 +516,22 @@ def polynomial(e):
 
 def lie_derivative(h, g):
     """L_g h = sum_j g_j * dh/dx_j, rendered from its canonical polynomial."""
-    ring = _Ring()
-    field = tuple(ring.poly(gj) for gj in g)
-    return render(ring.lie(ring.poly(h), field, {}, "L_g h"))
+    return _lie_rendered(h, g, "L_g h")
 
 
 def differentiate(e, j):
     """Exact partial derivative of e in x_j: the Lie derivative along the
-    coordinate field e_j, rendered from its canonical polynomial."""
+    coordinate field e_j, rendered from its canonical polynomial (products
+    and powers expanded, so subject to TERM_CAP)."""
     if j < 1:
         raise ExprError("variable index must be >= 1")
-    return lie_derivative(e, (ZERO,) * (j - 1) + (ONE,))
+    return _lie_rendered(e, (ZERO,) * (j - 1) + (ONE,), f"d/dx{j} of {to_text(e)}")
+
+
+def _lie_rendered(h, g, what):
+    ring = _Ring()
+    field = tuple(ring.poly(gj) for gj in g)
+    return render(ring.lie(ring.poly(h), field, {}, what))
 
 
 class LieTable:

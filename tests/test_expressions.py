@@ -138,6 +138,8 @@ def test_eval_parsed_hand_arithmetic():
 def test_eval_dimension_error():
     with pytest.raises(VariableIndexError):
         eval_expr(Var(3), (1.0, 2.0))
+    with pytest.raises(VariableIndexError):
+        eval_expr(Var(3), np.zeros((2, 5)))
 
 
 # ---------------------------------------------------------------------------

@@ -350,18 +350,35 @@ def test_one_word_cap(monkeypatch):
 
 
 def test_expansion_stops_at_the_term_cap(monkeypatch):
-    # (x1 + ... + x5)^k has C(k + 4, 4) terms: the 20th factor makes 10,626
+    # (x1 + ... + x5)^k has C(k + 4, 4) terms: the 20th factor would make
+    # 10,626, and the guard trips within one row of the product past 10,000
     text = "(x1 + x2 + x3 + x4 + x5)^24"
     sys = system_from_exprs(5, 1, [[text, "0", "0", "0", "0"]], (1.0, 0, 0, 0, 0),
                             r=1.0, M=1.0, T=0.1)
     with pytest.raises(ResourceCapError, match=(
-            r"expanding \(x1 \+ x2 \+ x3 \+ x4 \+ x5\)\^24 reached 10626 terms, "
+            r"expanding \(x1 \+ x2 \+ x3 \+ x4 \+ x5\)\^24 reached 1000[1-5] terms, "
             r"over the cap of 10000")):
         LieTable(sys)
-    # the same guard, at a lower cap to save time: the 9th factor makes 715
+    # a product of two factors each under the cap (1,820 terms) stops while
+    # multiplying, not after all 1,820^2 monomial products
+    half = "(x1 + x2 + x3 + x4 + x5)^12"
+    with pytest.raises(ResourceCapError, match=r"reached 10\d\d\d terms, over the cap"):
+        polynomial(parse_expr(f"{half} * {half}", 5))
+    # differentiate expands a factored power too, so it raises where a tree
+    # derivative would not; at a lower cap to save time (the 9th factor: 715)
     monkeypatch.setattr("chenfliess.lie.TERM_CAP", 500)
-    with pytest.raises(ResourceCapError, match="reached 715 terms, over the cap of 500"):
+    with pytest.raises(ResourceCapError, match=r"reached 50[1-5] terms, over the cap of 500"):
         differentiate(parse_expr(text, 5), 1)
+    # an argument under the cap whose derivative is over it is named as a
+    # derivative, with no word order to lower
+    wide = "sigma(x1 + x2) * (x1 + x2 + x3 + x4 + x5)^5"  # 126 terms, 196 in d/dx1
+    assert len(polynomial(parse_expr(wide, 5))) == 126
+    monkeypatch.setattr("chenfliess.lie.TERM_CAP", 150)
+    with pytest.raises(ResourceCapError) as info:
+        differentiate(parse_expr(wide, 5), 1)
+    assert str(info.value).startswith("d/dx1 of sigma(x1 + x2)*")
+    assert "over the cap of 150 terms" in str(info.value)
+    assert "order" not in str(info.value)
     monkeypatch.undo()
     assert len(polynomial(parse_expr("(x1 + x2)^50", 2))) == 51
     sys = system_from_exprs(2, 1, [["(x1 + x2)^50", "x1"]], (1.0, 0.0), r=1.0, M=1.0,
