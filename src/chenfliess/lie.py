@@ -231,19 +231,30 @@ class Atom:
         self.slots = []  # (slot, exponent) for each power the ring stores
 
 
-def _rank(pair):
-    return pair[0].rank
-
-
 def _mul(m1, m2):
+    """The product of two monomials: a merge of their pairs, which are
+    sorted by rank (interning shifts ranks but keeps their order)."""
     if not m1:
         return m2
     if not m2:
         return m1
-    d = dict(m1)
-    for a, e in m2:
-        d[a] = d.get(a, 0) + e
-    return tuple(sorted(d.items(), key=_rank))
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        a, e = m1[i]
+        b, f = m2[j]
+        if a is b:
+            out.append((a, e + f))
+            i += 1
+            j += 1
+        elif a.rank < b.rank:
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    return (*out, *m1[i:], *m2[j:])
 
 
 def _poly_key(p):
@@ -539,9 +550,10 @@ class LieTable:
 
     entry(()) is c^T x; entry(w + (i,)) = lie_derivative(entry(w), g_i).
     Entries are stored as canonical polynomials (polynomial(w)) and
-    rendered as Expr on request (entry(w)); evaluate(words, X) is the
-    feature kernel. Construction is single-writer; built entries may be
-    read concurrently.
+    rendered as Expr on request (entry(w)); evaluate(words, X) and
+    features(K, cols, X) are the feature kernel. Every zero entry shares one
+    stored row, and its extensions are zero without differentiating.
+    Construction is single-writer; built entries may be read concurrently.
     """
 
     def __init__(self, sys):
@@ -551,24 +563,29 @@ class LieTable:
         self._caches = [{} for _ in sys.g]
         c_x = self._ring._canon({((self._ring.var(j + 1), 1),): float(ci)
                                  for j, ci in enumerate(sys.c) if ci != 0})
-        self._rows = {EMPTY_WORD: self._ring.add_row(c_x)}
+        self._zero = self._ring.add_row(())
+        self._rows = {EMPTY_WORD: self._ring.add_row(c_x) if c_x else self._zero}
+        # column j of words_up_to -> row of the entry paired with it; -1 unresolved
+        self._paired = np.empty(0, dtype=np.intp)
 
     def _row(self, w):
         got = self._rows.get(w)
-        if got is not None:
-            return got
-        w = validate_word(w, self.sys.m)
-        # walk down from the deepest cached prefix
-        k = len(w)
-        start = k - 1
-        while start > 0 and w[:start] not in self._rows:
-            start -= 1
-        p = self._ring.polys[self._rows[w[:start]]]
-        for pos in range(start, k):
-            i = w[pos] - 1
-            p = self._ring.lie(p, self._fields[i], self._caches[i], w[:pos + 1])
-            self._rows[w[:pos + 1]] = self._ring.add_row(p)
-        return self._rows[w]
+        return got if got is not None else self._grow(validate_word(w, self.sys.m))
+
+    def _grow(self, w):
+        """The row of the valid word w, storing each missing prefix on the way."""
+        k = len(w) - 1
+        while w[:k] not in self._rows:
+            k -= 1
+        row = self._rows[w[:k]]
+        for pos in range(k, len(w)):
+            if row != self._zero:  # L_g 0 = 0
+                i = w[pos] - 1
+                p = self._ring.lie(self._ring.polys[row], self._fields[i], self._caches[i],
+                                   w[:pos + 1])
+                row = self._ring.add_row(p) if p else self._zero
+            self._rows[w[:pos + 1]] = row
+        return row
 
     def polynomial(self, w):
         return self._ring.polys[self._row(validate_word(w, self.sys.m))]
@@ -579,6 +596,24 @@ class LieTable:
     def evaluate(self, words, X):
         """(N, len(words)) array: the entry of words[j] (tuples) at X[i]."""
         return self._ring.evaluate([self._row(w) for w in words], X)
+
+    def features(self, K, cols, X):
+        """(N, len(cols)) array: the series feature of column cols[j] of
+        words_up_to(m, K) at X[i], which is the entry for the REVERSED word
+        (the pairing settled in chenfliess.series). A column is resolved to
+        its row on first use and kept, so only the columns asked for grow."""
+        cols = np.asarray(cols, dtype=np.intp)
+        grow = sum(self.sys.m**k for k in range(K + 1)) - len(self._paired)
+        if grow > 0:
+            self._paired = np.concatenate([self._paired, np.full(grow, -1, np.intp)])
+        need = cols[self._paired[cols] < 0].tolist()
+        if need:
+            words = words_up_to(self.sys.m, K)
+            for j in need:
+                w = words[j][::-1]
+                row = self._rows.get(w)
+                self._paired[j] = row if row is not None else self._grow(w)
+        return self._ring.evaluate(self._paired[cols], X)
 
     def ensure_depth(self, K):
         check_word_cap(self.sys.m, K)

@@ -7,7 +7,7 @@ one a noncommuting bilinear system forces when the truncated series is
 required to reproduce the ODE solution (the mandatory bootstrap test in
 the suite): the channel at the EARLIEST simplex time is the OUTERMOST
 differentiation, so the feature paired with signature word w is the
-LieTable entry for the reversed word.
+LieTable entry for the reversed word (LieTable.features).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Constant, Product, eval_expr, simplify
+from .expressions import ZERO, Constant, Product, eval_expr, simplify
 from .lie import LieTable, SystemSpec, check_word_cap, word_lengths, words_up_to
 from .signatures import ControlPath, signature_up_to
 
@@ -44,15 +44,15 @@ def feature_matrix(sys, X, K, lie_table=None):
     if X.ndim != 2 or X.shape[1] != sys.n:
         raise ValueError(f"X must be (N, n) with n = {sys.n}, got shape {X.shape}")
     words = words_up_to(sys.m, K)
-    return words, _features(lie_table, words, X)
+    return words, _features(lie_table, K, np.arange(len(words)), X)
 
 
-def _features(lie_table, words, X):
-    """Column j: the Lie entry for reversed words[j] (the pairing above) at
-    the rows of X, from the table's one kernel. A non-finite feature
-    raises FloatingPointError at one point and at many."""
+def _features(lie_table, K, cols, X):
+    """The features of the columns cols of words_up_to(m, K) at the rows
+    of X, from the table's one kernel. A non-finite feature raises
+    FloatingPointError at one point and at many."""
     try:
-        Phi = lie_table.evaluate([w[::-1] for w in words], X)
+        Phi = lie_table.features(K, cols, X)
         finite = np.all(np.isfinite(Phi))
     except (OverflowError, ValueError):  # math.fsum at one point
         finite = False
@@ -134,10 +134,10 @@ def chen_fliess_eval(sys, x0, u, K, family=None, lie_table=None, sig_table=None,
         raise ValueError("sig_table was built for a control of another (m, M, T)")
 
     # a zero signature entry adds 0.0, so its feature is never built
-    words = words_up_to(sys.m, K)
-    live = np.flatnonzero(sig_table.row[: len(words)])
-    terms = sig_table.row[live] * _features(lie_table, [words[j] for j in live], np.array([x0]))[0]
-    lengths = word_lengths(sys.m, K)[live]
+    lengths = word_lengths(sys.m, K)
+    live = np.flatnonzero(sig_table.row[: len(lengths)])
+    terms = sig_table.row[live] * _features(lie_table, K, live, np.array([x0]))[0]
+    lengths = lengths[live]
     contributions = tuple(math.fsum(terms[lengths == k]) for k in range(K + 1))
     value = math.fsum(contributions)
 
@@ -186,35 +186,44 @@ class OdeResult:
         return self.states[-1]
 
 
-def _rhs(sys, values, x):
-    out = np.zeros(sys.n)
-    for i, v in enumerate(values):
-        if v == 0.0:
-            continue
-        for j, comp in enumerate(sys.g[i]):
-            out[j] += v * eval_expr(comp, x)
+def _rhs(live, x):
+    """sum_i v_i g_i(x) for the live (v_i, g_ij) pairs of each component
+    j, summed from 0.0 in channel order as a zero-initialised vector is."""
+    out = []
+    for pairs in live:
+        acc = 0.0
+        for v, comp in pairs:
+            acc += v * eval_expr(comp, x)
+        out.append(acc)
     return out
 
 
 def _rk4_run(sys, x0, u, step):
+    """RK4 in float arithmetic on lists, with the operation order of the
+    vector form, x + (h/6) * (((k1 + 2 k2) + 2 k3) + k4), so the states
+    are the same bits; numpy comes in only for the returned arrays."""
+    x = [float(v) for v in x0]
     times = [0.0]
-    states = [np.asarray(x0, dtype=float)]
-    x = states[0]
+    states = [x]
     t = 0.0
     bp = u.breakpoints
     for p in range(u.pieces):
         length = bp[p + 1] - bp[p]
         n_steps = max(1, math.ceil(length / step - 1e-12))
         h = length / n_steps
-        values = u.values[p]
+        half, sixth = 0.5 * h, h / 6.0
+        # a zero channel or a zero component adds an exact 0.0: left out
+        live = [[(v, g[j]) for v, g in zip(u.values[p], sys.g)
+                 if v != 0.0 and g[j] != ZERO] for j in range(sys.n)]
         for _ in range(n_steps):
-            k1 = _rhs(sys, values, x)
-            k2 = _rhs(sys, values, x + 0.5 * h * k1)
-            k3 = _rhs(sys, values, x + 0.5 * h * k2)
-            k4 = _rhs(sys, values, x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k1 = _rhs(live, x)
+            k2 = _rhs(live, [a + half * b for a, b in zip(x, k1)])
+            k3 = _rhs(live, [a + half * b for a, b in zip(x, k2)])
+            k4 = _rhs(live, [a + h * b for a, b in zip(x, k3)])
+            x = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                 for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
             t += h
-            if not np.all(np.isfinite(x)):
+            if not all(map(math.isfinite, x)):
                 raise OdeBlowupError(t)
             times.append(t)
             states.append(x)

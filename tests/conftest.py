@@ -11,7 +11,8 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from chenfliess import ControlPath
+from chenfliess import ControlPath, OdeBlowupError
+from chenfliess.expressions import eval_expr
 
 
 def sympy_sigma(z):
@@ -108,3 +109,53 @@ def bilinear_lie_oracle(matrices, c, word, x):
     for i in word:
         row = row @ np.asarray(matrices[i - 1], dtype=float)
     return float(row @ np.asarray(x, dtype=float))
+
+
+def _rhs_vector(sys, values, x):
+    out = np.zeros(sys.n)
+    for i, v in enumerate(values):
+        if v == 0.0:
+            continue
+        for j, comp in enumerate(sys.g[i]):
+            out[j] += v * eval_expr(comp, x)
+    return out
+
+
+def _rk4_vector_run(sys, x0, u, step):
+    times = [0.0]
+    states = [np.asarray(x0, dtype=float)]
+    x = states[0]
+    t = 0.0
+    bp = u.breakpoints
+    for p in range(u.pieces):
+        length = bp[p + 1] - bp[p]
+        n_steps = max(1, math.ceil(length / step - 1e-12))
+        h = length / n_steps
+        values = u.values[p]
+        for _ in range(n_steps):
+            k1 = _rhs_vector(sys, values, x)
+            k2 = _rhs_vector(sys, values, x + 0.5 * h * k1)
+            k3 = _rhs_vector(sys, values, x + 0.5 * h * k2)
+            k4 = _rhs_vector(sys, values, x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += h
+            if not np.all(np.isfinite(x)):
+                raise OdeBlowupError(t)
+            times.append(t)
+            states.append(x)
+        t = bp[p + 1]
+        times[-1] = t
+    return np.array(times), np.array(states)
+
+
+def rk4_vector_oracle(sys, x0, u, step):
+    """The RK4 reference in its numpy-vector form: fixed steps aligned to
+    the breakpoints, at ``step`` and ``step/2``. Returns (times, states,
+    y, y_coarse, error_estimate) of the finer run, or raises
+    OdeBlowupError at the first non-finite state."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, states_c = _rk4_vector_run(sys, x0, u, step)
+        times, states = _rk4_vector_run(sys, x0, u, step / 2.0)
+    c = np.asarray(sys.c, dtype=float)
+    y, y_coarse = float(c @ states[-1]), float(c @ states_c[-1])
+    return times, states, y, y_coarse, abs(y - y_coarse) / 15.0

@@ -25,11 +25,11 @@ from chenfliess import (
     truncation_tail,
 )
 from chenfliess.expressions import eval_expr
-from chenfliess.learning import sample_ball
+from chenfliess.learning import random_control_path, sample_ball
 from chenfliess.lie import words_up_to
 from chenfliess.signatures import signature_up_to
 
-from conftest import random_path
+from conftest import random_path, rk4_vector_oracle
 
 A_UP = np.array([[0.0, 1.0], [0.0, 0.0]])
 A_DOWN = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -274,6 +274,71 @@ def test_blowup_detection():
     with pytest.raises(OdeBlowupError) as err:
         ode_reference(sys, (1.0,), u, 1e-3)
     assert err.value.t > 0.9  # true blow-up time is 1
+
+
+def test_sparse_control_grows_only_the_entries_it_needs():
+    # channel 2 held at 0: the live words are 1^k, and only they are built
+    sys = noncommuting_system(T=1.0)
+    u = ControlPath(2, (0.0, 0.4, 1.0), ((0.7, 0.0), (-0.9, 0.0)), 1.0)
+    x0 = (0.6, -0.3)
+    table = LieTable(sys)
+    for K in range(1, 9):
+        value = chen_fliess_eval(sys, x0, u, K, lie_table=table).value
+        assert len(table) == K + 1
+        dense = LieTable(sys)
+        dense.ensure_depth(K)
+        assert value.hex() == chen_fliess_eval(sys, x0, u, K, lie_table=dense).value.hex()
+        assert value.hex() == chen_fliess_eval(sys, x0, u, K).value.hex()
+
+
+def _assert_same_bits(res, oracle):
+    times, states, y, y_coarse, err = oracle
+    assert res.times.tobytes() == times.tobytes()
+    assert res.states.shape == states.shape
+    assert res.states.tobytes() == states.tobytes()
+    assert [v.hex() for v in (res.y, res.y_coarse, res.error_estimate)] == [
+        v.hex() for v in (y, y_coarse, err)]
+
+
+@pytest.mark.parametrize("name", ["bilinear2d", "analytic1d", "hopfield2"])
+def test_float_rk4_is_the_vector_rk4_bit_for_bit(name):
+    spec = builtin_system(name).spec
+    for seed in range(4):
+        rng = np.random.default_rng([seed, 14])
+        u = random_control_path(rng, spec.m, spec.M, spec.T, pieces=1 + seed)
+        x0 = tuple(sample_ball(rng, spec.n, spec.r, 1)[0])
+        for step in (1e-3, 3e-3):
+            _assert_same_bits(ode_reference(spec, x0, u, step),
+                              rk4_vector_oracle(spec, x0, u, step))
+
+
+def test_float_rk4_bits_with_a_channel_held_at_zero_and_at_t0():
+    sys = noncommuting_system(T=1.0)
+    u = ControlPath(2, (0.0, 0.2, 0.55, 1.0),
+                    ((0.8, 0.0), (0.0, -0.6), (-0.3, 0.0)), 1.0)
+    for x0 in ((0.5, -0.25), (0.0, 0.0), (-0.0, 0.7)):
+        _assert_same_bits(ode_reference(sys, x0, u, 0.01),
+                          rk4_vector_oracle(sys, x0, u, 0.01))
+    # a zero field component adds an exact 0.0 as well
+    zeros = system_from_exprs(2, 2, [["0", "-x1*x2"], ["x2^2", "0"]], (1.0, 1.0),
+                              r=1.0, M=1.0, T=1.0)
+    _assert_same_bits(ode_reference(zeros, (0.3, -0.4), u, 0.01),
+                      rk4_vector_oracle(zeros, (0.3, -0.4), u, 0.01))
+    at_zero = noncommuting_system(T=0.0)
+    u0 = constant_path((0.5, 0.5), 0.0, M=1.0)
+    res = ode_reference(at_zero, (0.1, 0.2), u0, 1e-3)
+    _assert_same_bits(res, rk4_vector_oracle(at_zero, (0.1, 0.2), u0, 1e-3))
+    assert res.times.tolist() == [0.0] and res.final_state.tolist() == [0.1, 0.2]
+
+
+def test_float_rk4_blows_up_at_the_vector_rk4_time():
+    sys = system_from_exprs(1, 1, [["x1^2"]], (1.0,), r=3.0, M=1.0, T=2.0)
+    u = constant_path((1.0,), 2.0)
+    with pytest.raises(OdeBlowupError) as got:
+        ode_reference(sys, (1.0,), u, 1e-3)
+    with pytest.raises(OdeBlowupError) as want:
+        rk4_vector_oracle(sys, (1.0,), u, 1e-3)
+    assert got.value.t.hex() == want.value.t.hex()
 
 
 # ---------------------------------------------------------------------------
