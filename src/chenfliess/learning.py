@@ -5,7 +5,7 @@ The learnable object is a control path; its truncated signature is a
 coefficient vector inside the box |theta_w| <= (MT)^|w| / |w|!, so ERM
 is a small convex problem over that box in p = #words coefficients,
 solved exactly: bounded-variable least squares by an active-set method
-for squared loss, and a linear program (HiGHS) for absolute loss. The
+for squared loss, and a bounded-variable L1 simplex for absolute loss. The
 experiment report carries the solver, its iteration count, convergence
 flag and optimality residual in its `erm` block. The box is a
 RELAXATION of the exact model class (not every box point is a
@@ -28,7 +28,7 @@ from ._num import det_dot, det_matmul, det_matvec, det_norm
 from .bounds import excess_risk_bound, loss_contraction, theorem1_bound
 from .expressions import Expr, eval_expr
 from .families import family_from_json_dict
-from .lie import warn_if_c_not_unit, word_lengths
+from .lie import ResourceCapError, warn_if_c_not_unit, word_lengths
 from .series import feature_matrix
 from .signatures import ControlPath, signature_matrix, signature_norm_bound
 from .systems import builtin_system, load_system_file
@@ -38,7 +38,9 @@ from .bounds import analytic_bound, bilinear_bound, hopfield_bound  # noqa: F401
 from .lie import LieTable  # noqa: F401
 from .signatures import signature_up_to  # noqa: F401
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
+
+ERM_COLUMN_CAP = 1_000  # most live feature columns; hopfield2 at order 6 has 919
 
 # validation headroom for rounding on points generated exactly on the
 # boundary; violations beyond it are errors, never clamped
@@ -347,7 +349,7 @@ class FittedModel:
 
     `kkt_residual` is the optimality residual of the solver named in
     `solver`: the unit-step projected gradient at `theta` for "bvls", the
-    primal-dual gap for "linprog-highs"."""
+    primal-dual gap for "l1-simplex", finite also at the iteration cap."""
 
     sys: object
     K: int
@@ -385,9 +387,7 @@ class FittedModel:
             "converged": self.converged,
             "grad_norm": float(self.grad_norm),
             "solver": self.solver,
-            # null when an LP stopped without a solution left it infinite
-            "kkt_residual": (float(self.kkt_residual)
-                             if math.isfinite(self.kkt_residual) else None),
+            "kkt_residual": float(self.kkt_residual),
         }
 
 
@@ -419,12 +419,12 @@ def _lstsq(A, b):
     return out
 
 
-def _bvls(Phi, y, box, max_iter):
+def _bvls(Phi, y, box, live, max_iter):
     """Minimise |y - Phi theta|^2 over |theta| <= box by the primal
     active-set method of Stark & Parker (1995), from theta = 0.
 
-    Each step solves least squares on the free columns (zero columns stay
-    fixed at 0). A solution outside the box is cut back to the first
+    Each step solves least squares on the free columns (columns not live
+    stay fixed at 0). A solution outside the box is cut back to the first
     bound crossed, and that variable is held there; a solution inside is
     taken, and the held variable whose gradient points furthest into the
     box is released. A held gradient within rounding of 0 counts as
@@ -432,7 +432,7 @@ def _bvls(Phi, y, box, max_iter):
     converged)."""
     g_tol = 1e-13 * (1.0 + float(np.max(np.abs(det_matvec(Phi.T, y)))))
     theta = np.zeros(len(box))
-    free = np.any(Phi != 0.0, axis=0) & (box > 0.0)
+    free = live.copy()
     held = np.zeros(len(box), dtype=bool)
     for step in range(1, max_iter + 1):
         x, lim = theta[free], box[free]
@@ -454,34 +454,68 @@ def _bvls(Phi, y, box, max_iter):
     return theta, max_iter, False
 
 
-def _absolute_lp(Phi, y, box, max_iter):
-    """Exact least-absolute-deviation fit over the box as an LP:
-    minimise mean(t) subject to -t <= y - Phi theta <= t and |theta| <= box.
+def _l1_simplex(Phi, y, box, max_iter):
+    """Minimise mean|y - Phi theta| over |theta| <= box (box > 0) by the
+    bounded-variable simplex of Barrodale & Roberts (1973), from theta = 0.
 
-    Returns (theta, iterations, converged, dual objective). The dual
-    objective is a lower bound on the optimal risk, so the gap to the
-    risk of the returned theta bounds its suboptimality."""
-    from scipy import sparse
-    from scipy.optimize import linprog
-
-    N, p = Phi.shape
-    c = np.concatenate([np.zeros(p), np.full(N, 1.0 / N)])
-    features = sparse.csr_matrix(Phi)
-    eye = sparse.identity(N, format="csr")
-    A_ub = sparse.bmat([[-features, -eye], [features, -eye]], format="csr")
-    b_ub = np.concatenate([-y, y])
-    lower = np.concatenate([-box, np.zeros(N)])
-    upper = np.concatenate([box, np.full(N, np.inf)])
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=np.column_stack([lower, upper]),
-                  method="highs", options={"maxiter": max_iter})
-    if res.x is None:
-        return np.zeros(p), int(res.nit), False, -math.inf
-    finite = np.isfinite(upper)
-    dual = (det_dot(b_ub, res.ineqlin.marginals)
-            + det_dot(lower, res.lower.marginals)
-            + det_dot(upper[finite], res.upper.marginals[finite]))
-    theta = np.clip(res.x[:p], -box, box)
-    return theta, int(res.nit), res.status == 0, dual
+    A basis slot holds a row with residual nonbasic at 0 (basis row Phi_i)
+    or a theta held at a bound or at 0 (e_j); the q x q inverse takes a
+    rank-one update per pivot. A step passes each residual sign change
+    while the risk falls; after a degenerate one, Bland's rule. Stops at
+    an optimal basis, within 1e-13 mean|y| of the dual bound, or after
+    max_iter pivots. Returns (theta, pivots, converged, dual bound)."""
+    N, q = Phi.shape
+    PhiT, absPhi = np.ascontiguousarray(Phi.T), np.abs(Phi)
+    basis_row = np.vstack([np.eye(q), Phi])  # of theta_j, then of row i
+    tol = 1e-11 * np.concatenate([absPhi.sum(axis=0), np.ones(N)]) / N
+    inv, slots, held = np.eye(q), np.arange(q), np.arange(q + N) < q
+    fixed, theta, sign = np.zeros(q), np.zeros(q), np.where(y < 0.0, -1.0, 1.0)
+    stop, step = 1e-13 * float(np.abs(y).mean()), 1.0
+    for pivots in range(max_iter + 1):
+        basic, tight = ~held[:q], held[q:]
+        res = np.concatenate([fixed - theta, y - det_matvec(Phi, theta)])[slots]
+        theta = np.where(basic, theta + det_matvec(inv, res), fixed)  # refined vertex
+        r = y - det_matvec(Phi, theta)
+        lam = np.where(tight, 0.0, sign / N)
+        # multipliers of the tight rows, reduced costs of the held thetas
+        mu = -det_matvec(inv.T, det_matvec(PhiT, lam))
+        rows, j = slots >= q, np.minimum(slots, q - 1)
+        lam[slots[rows] - q] = np.clip(mu[rows], -1.0 / N, 1.0 / N)
+        sign[slots[rows] - q] = np.sign(mu[rows])  # a released row's residual sign
+        dual = max(det_dot(lam, y) - det_dot(box, np.abs(det_matvec(PhiT, lam))), 0.0)
+        viol, rho, risk = np.abs(mu) - rows / N, -np.sign(mu), float(np.abs(r).mean())
+        ok = (viol > tol[slots]) & (rows | (rho * fixed[j] < box[j]))
+        done = not ok.any() or risk - dual <= stop
+        if done or pivots == max_iter:
+            return np.clip(theta, -box, box), pivots, done, dual
+        # risk decrease at the initial rate over the range (a row's: the risk)
+        gain = viol * np.where(rows, risk, box[j] * (1.0 + (rho * fixed[j] < 0.0)))
+        p = int(np.argmin(np.where(ok, slots, N + q)) if step == 0.0  # Bland
+                else np.argmax(np.where(ok, gain, -1.0)))
+        e = slots[p]
+        d = np.where(basic | (np.arange(q) == e), rho[p] * inv[:, p], 0.0)
+        dr, w = -det_matvec(Phi, d), sign * r
+        # changes and values at rounding level count as 0
+        dr[np.abs(dr) <= 1e-9 * det_matvec(absPhi, np.abs(d))] = 0.0
+        w[w <= 1e-13 * (np.abs(y) + det_matvec(absPhi, np.abs(theta)))] = 0.0
+        cand = np.flatnonzero(~tight & (sign * dr < 0.0))
+        t_row = w[cand] / np.abs(dr[cand])
+        order = np.lexsort((cand, t_row))
+        slope = -viol[p] + np.cumsum(2.0 * np.abs(dr[cand[order]]) / N)
+        k = int(np.argmax(np.append(slope, 0.0) >= 0.0))
+        t_box, moving = np.full(q, np.inf), d != 0.0
+        t_box[moving] = np.maximum((np.copysign(box, d) - theta)[moving] / d[moving], 0.0)
+        jb = int(np.argmin(t_box))
+        if k < len(order) and t_row[order[k]] < t_box[jb]:
+            leave, step, flip = q + cand[order[k]], t_row[order[k]], cand[order[:k]]
+        else:
+            leave, step, flip = jb, t_box[jb], cand[t_row < t_box[jb]]
+            fixed[jb] = math.copysign(box[jb], d[jb])
+        sign[flip] = -sign[flip]
+        if leave != e:  # else the entering theta crossed its box
+            z = det_matvec(inv.T, basis_row[leave])
+            inv -= np.multiply.outer(inv[:, p], (z - (np.arange(q) == p)) / z[p])
+            slots[p], held[e], held[leave] = leave, False, True
 
 
 def erm_fit(data, sys, K, loss="squared", max_iter=200_000):
@@ -493,18 +527,22 @@ def erm_fit(data, sys, K, loss="squared", max_iter=200_000):
     `kkt_residual` is the unit-step projected gradient
     max |theta - clip(theta - grad f(theta))| of f = mean squared
     residual, recomputed at the returned theta. Absolute loss: the exact
-    LP, solved by HiGHS through scipy's linprog; `converged` is the LP
-    status, `n_iter` its iteration count and `kkt_residual` the
-    primal-dual gap. Both are deterministic; a solver that hits
-    `max_iter` reports converged=False and the model is still
-    returned."""
+    simplex of `_l1_simplex` on the live columns; `n_iter` counts its
+    pivots and `kkt_residual` is the primal-dual gap. Both are
+    deterministic; a solver that hits `max_iter` reports converged=False
+    and the model is still returned. More than ERM_COLUMN_CAP live
+    columns (nonzero somewhere, box > 0) raise ResourceCapError."""
     words, Phi = feature_matrix(sys, data.x, K)
     box = coefficient_box(words, sys.M, sys.T)
     y = data.y
     N = data.N
+    live = np.any(Phi != 0.0, axis=0) & (box > 0.0)
+    if live.sum() > ERM_COLUMN_CAP:
+        raise ResourceCapError(f"ERM over {live.sum()} live feature columns exceeds "
+                               f"the cap of {ERM_COLUMN_CAP}; lower the order")
 
     if loss == "squared":
-        theta, n_iter, converged = _bvls(Phi, y, box, max_iter)
+        theta, n_iter, converged = _bvls(Phi, y, box, live, max_iter)
         res = y - det_matvec(Phi, theta)
         train_risk = float((res**2).mean())
         grad = -2.0 * det_matvec(Phi.T, res) / N
@@ -512,12 +550,14 @@ def erm_fit(data, sys, K, loss="squared", max_iter=200_000):
         kkt = float(np.max(np.abs(theta - np.clip(theta - grad, -box, box))))
         solver = "bvls"
     elif loss == "absolute":
-        theta, n_iter, converged, dual = _absolute_lp(Phi, y, box, max_iter)
+        theta = np.zeros(len(box))
+        theta[live], n_iter, converged, dual = _l1_simplex(Phi[:, live], y, box[live],
+                                                           max_iter)
         res = y - det_matvec(Phi, theta)
         train_risk = float(np.abs(res).mean())
         grad_norm = det_norm(det_matvec(Phi.T, -np.sign(res)) / N)
         kkt = abs(train_risk - dual)
-        solver = "linprog-highs"
+        solver = "l1-simplex"
     else:
         raise ValueError(f"unknown loss {loss!r}")
 

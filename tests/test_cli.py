@@ -333,6 +333,22 @@ def test_lie_lambda_k_loads_no_scipy_module():
     assert json.loads(out) == {"n_words": 16, "scipy": []}
 
 
+def test_absolute_loss_experiment_loads_no_scipy_module():
+    code = (
+        "import json, sys\n"
+        "from chenfliess import generalization_experiment\n"
+        "erm = generalization_experiment({'system': 'bilinear2d', 'order': 2, 'loss': 'absolute',\n"
+        "                                 'noise': 0.05, 'n_train': 50, 'n_test': 50,\n"
+        "                                 'seed': 3, 'n_controls': 8, 'n_eps': 8})['erm']\n"
+        "print(json.dumps({'solver': erm['solver'], 'converged': erm['converged'],\n"
+        "                  'scipy': sorted(m for m in sys.modules\n"
+        "                                  if m.split('.')[0] == 'scipy')}))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == {"solver": "l1-simplex", "converged": True, "scipy": []}
+
+
 def test_theorem1_term_overflow_exits_nonzero_without_output():
     family = json.dumps({"kind": "bilinear", "r": 1, "a": 1})
     for order in ("1000", "2000"):
@@ -359,5 +375,5 @@ def test_absolute_loss_experiment_byte_identical_across_thread_counts(tmp_path):
     b = _run_experiment_subprocess(cfg, tmp_path / "b.json", threads=4)
     assert a == b
     report = json.loads(a)
-    assert report["erm"]["solver"] == "linprog-highs"
+    assert report["erm"]["solver"] == "l1-simplex"
     assert report["erm"]["converged"]
