@@ -24,6 +24,7 @@ from .families import (  # re-exported: these are part of the bound calculators
     float_range_error,
     gamma_k,
 )
+from ._num import det_matmul, det_matvec, det_norm
 from .lie import polynomial
 
 __all__ = [
@@ -230,29 +231,121 @@ def excess_risk_bound(R_loss, B, N, delta):
 # Helpers for bound inputs
 
 
-def spectral_norm(A, tol=1e-10, max_iter=10_000, seed=0):
-    """Largest singular value by power iteration on A^T A, fixed seed."""
-    A = np.asarray(A, dtype=float)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(A.shape[1])
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(max_iter):
-        w = A.T @ (A @ v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        val = math.sqrt(norm)
-        if abs(val - prev) <= tol * max(1.0, val):
-            return val
-        prev = val
-    return prev
+_U = 2.0**-53  # unit roundoff
+_TINY = 2.0**-500  # covers every underflow below (the scaled values are >= 1/n)
+_SQUARINGS = 64
 
 
-def max_spectral_norm(matrices, tol=1e-10, seed=0):
-    """The constant a for the bilinear family: max_i sigma_max(A_i)."""
-    return max(spectral_norm(A, tol=tol, seed=seed) for A in matrices)
+def _up(x):
+    """x plus a margin that covers the few roundings that produced it."""
+    return x * (1.0 + 2.0**-50) + _TINY
+
+
+def _sym(P):
+    """P with its lower triangle copied from the upper one."""
+    upper = np.triu(P)
+    return upper + np.triu(P, 1).T
+
+
+def _at_least_sigma_max(c, A):
+    """Whether c >= sigma_max(A), decided exactly: c^2 I - A^T A, scaled to
+    integers, is positive semidefinite iff fraction-free (Bareiss)
+    elimination meets no negative pivot, and a zero pivot only on a zero
+    row, which is then dropped."""
+    ratios = [v.as_integer_ratio() for v in (c, *A.ravel().tolist())]
+    D = max(d for _, d in ratios)
+    c, *a = [p * (D // d) for p, d in ratios]
+    n = A.shape[1]
+    cols = [a[j::n] for j in range(n)]
+    M = [[(c * c if i == j else 0) - sum(x * y for x, y in zip(cols[i], cols[j]))
+          for j in range(n)] for i in range(n)]
+    live, prev = list(range(n)), 1
+    while live:
+        k, *live = live
+        p = M[k][k]
+        if p < 0 or (p == 0 and any(M[k][j] for j in live)):
+            return False
+        if p:
+            for i in live:
+                for j in live:
+                    M[i][j] = (p * M[i][j] - M[i][k] * M[k][j]) // prev
+            prev = p
+    return True
+
+
+def spectral_norm(A):
+    """A certified upper bound on the largest singular value of A.
+
+    sigma_max^2 = lambda_max(B) for B = A^T A, and for p = 2^s
+    lambda_max(B)^p <= ||B^p||_F <= sqrt(n) lambda_max(B)^p. B^p comes from
+    s = 64 squarings, each scaled to unit Frobenius norm, so the value
+    ||B^p||_F^(1/(2p)) is above sigma_max by a factor n^(1/(4p)), less than
+    one rounding. Every rounding error is added back on the way from the
+    last squaring to the first: gamma_n ||C||_F^2 for a product (Higham,
+    Accuracy and Stability of Numerical Algorithms, sec. 3.5), u for a
+    division and the summation error of a norm. So the value is never
+    below sigma_max and is above it by about 1e-14 relative; a short
+    decimal just below it replaces it when exact integer arithmetic
+    proves that it still bounds sigma_max. A is first
+    scaled by a power of 2, and products and norms are the fixed-order
+    reductions of chenfliess._num, so the value does not depend on the
+    thread count.
+    """
+    A0 = np.asarray(A, dtype=float)
+    if not np.all(np.isfinite(A0)):
+        raise ValueError("spectral_norm needs a finite matrix")
+    amax = float(np.max(np.abs(A0), initial=0.0))
+    if amax == 0.0:
+        return 0.0
+    scale = math.frexp(amax)[1]
+    A = np.ldexp(A0, -scale)  # max |A| in [1/2, 1)
+    n = A.shape[1]
+
+    def fro(C):  # an upper bound on ||C||_F
+        return _up(det_norm(C) * (1.0 + 2.0 * (C.size + 2) * _U))
+
+    B = _sym(det_matmul(A.T, A))
+    nu = det_norm(B)
+    C = B / nu
+    N = fro(C)
+    # level k holds (nu_k, e_k, f_k) with rho(C_k)^2 <= nu_k (rho(C_k+1) +
+    # 2u f_k) + e_k, for C_-1 = A (rho read as sigma_max), C_0 = B / nu and
+    # C_k+1 = fl(C_k^2) / nu_k; e_k bounds the product's error, f_k ||C_k+1||_F
+    levels = [(nu, _up(2.0 * A.shape[0] * _U * fro(A) ** 2), N)]
+    while len(levels) <= _SQUARINGS:
+        P = _sym(det_matmul(C, C))
+        nu_k = det_norm(P)
+        C_next = P / nu_k
+        N_next = fro(C_next)
+        levels.append((nu_k, _up(2.0 * n * _U * N * N), N_next))
+        if np.array_equal(C_next, C):  # a fixed point: the later squarings repeat this one
+            levels += levels[-1:] * (_SQUARINGS + 1 - len(levels))
+        C, N = C_next, N_next
+    sigma = N  # >= rho(C_s)
+    for nu_k, error, f_k in reversed(levels):
+        sigma = _up(math.sqrt(_up(nu_k * (sigma + 2.0 * _U * f_k) + error)))
+    try:
+        out = math.ldexp(sigma, scale)
+    except OverflowError:
+        return math.inf
+    if out < 2.0**-1022:
+        return math.nextafter(out, math.inf)
+    # C_s is near the top eigenprojector, so a column of it gives a
+    # Rayleigh quotient just below sigma_max. The 12-digit decimal below
+    # out (1.0 for a shift matrix) is returned when it is not below that
+    # quotient and is proved to bound sigma_max.
+    v = C[:, int(np.argmax(np.abs(C).sum(axis=0)))]
+    rayleigh = math.ldexp(det_norm(det_matvec(A, v)) / det_norm(v), scale)
+    short = float(f"{out:.11e}")
+    if rayleigh * (1.0 - 1e-13) <= short < out and _at_least_sigma_max(short, A0):
+        return short
+    return out
+
+
+def max_spectral_norm(matrices):
+    """The constant a for the bilinear family: an upper bound on
+    max_i sigma_max(A_i) (spectral_norm)."""
+    return max(spectral_norm(A) for A in matrices)
 
 
 def polynomial_polydisc_bound(fields, r):

@@ -567,6 +567,8 @@ class LieTable:
         self._rows = {EMPTY_WORD: self._ring.add_row(c_x) if c_x else self._zero}
         # column j of words_up_to -> row of the entry paired with it; -1 unresolved
         self._paired = np.empty(0, dtype=np.intp)
+        # (bytes of the last single point, values of rows 0, 1, ... at it)
+        self._memo = (b"", np.empty(0))
 
     def _row(self, w):
         got = self._rows.get(w)
@@ -601,7 +603,14 @@ class LieTable:
         """(N, len(cols)) array: the series feature of column cols[j] of
         words_up_to(m, K) at X[i], which is the entry for the REVERSED word
         (the pairing settled in chenfliess.series). A column is resolved to
-        its row on first use and kept, so only the columns asked for grow."""
+        its row on first use and kept, so only the columns asked for grow.
+
+        At one point (N = 1) the values of every stored row are memoized
+        with the bytes of the point, so an order sweep at one point
+        evaluates each row once; a point with other bytes (-0.0 is not
+        0.0) starts a new memo, and rows stored since are added to it. The
+        memo is one tuple, replaced whole, so concurrent readers see an
+        old or a new one. N > 1 goes to the kernel each time."""
         cols = np.asarray(cols, dtype=np.intp)
         grow = sum(self.sys.m**k for k in range(K + 1)) - len(self._paired)
         if grow > 0:
@@ -613,7 +622,22 @@ class LieTable:
                 w = words[j][::-1]
                 row = self._rows.get(w)
                 self._paired[j] = row if row is not None else self._grow(w)
-        return self._ring.evaluate(self._paired[cols], X)
+        rows = self._paired[cols]
+        X = np.asarray(X, dtype=float)
+        if X.shape[0] != 1:
+            return self._ring.evaluate(rows, X)
+        point = X.tobytes()
+        key, values = self._memo
+        if key != point:
+            values = values[:0]
+        if len(rows) and rows.max() >= len(values):
+            try:
+                new = self._ring.evaluate(np.arange(len(values), len(self._ring.polys)), X)
+            except (OverflowError, ValueError):  # math.fsum on a row not asked for
+                return self._ring.evaluate(rows, X)
+            values = np.concatenate([values, new[0]])
+            self._memo = (point, values)
+        return values[rows][None, :]
 
     def ensure_depth(self, K):
         check_word_cap(self.sys.m, K)

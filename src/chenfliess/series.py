@@ -19,9 +19,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import ZERO, Constant, Product, eval_expr, simplify
+from .expressions import (
+    ZERO,
+    Constant,
+    ExprError,
+    Power,
+    Primitive,
+    Product,
+    Sum,
+    Var,
+    get_primitive,
+    power,
+    simplify,
+)
 from .lie import LieTable, SystemSpec, check_word_cap, word_lengths, words_up_to
 from .signatures import ControlPath, signature_up_to
+
+# not called here, but benchmark/tracer.py wraps this name in this module
+from .expressions import eval_expr  # noqa: F401
 
 
 class ConvergenceWarning(UserWarning):
@@ -108,11 +123,13 @@ def chen_fliess_eval(sys, x0, u, K, family=None, lie_table=None, sig_table=None,
     """Evaluate the order-K truncated series at x0 under the control u.
 
     Pass lie_table / sig_table to share work across calls on the same
-    system and control; a sig_table for another (m, M, T) raises. With
-    ``family`` set, the truncation tail bound is attached and a
-    ConvergenceWarning is issued when the family cannot certify
-    convergence. With ``ode_step`` set, the RK4 reference runs and the
-    oracle fields are filled in.
+    system and control; a sig_table for another (m, M, T) raises. The
+    table memoizes the values of its stored rows at the last x0
+    (LieTable.features), so an order sweep K = 1..K_max at one x0 on one
+    table evaluates each row once. With ``family`` set, the truncation
+    tail bound is attached and a ConvergenceWarning is issued when the
+    family cannot certify convergence. With ``ode_step`` set, the RK4
+    reference runs and the oracle fields are filled in.
     """
     if u.m != sys.m:
         raise ValueError(f"control has {u.m} channels, system has {sys.m}")
@@ -186,22 +203,94 @@ class OdeResult:
         return self.states[-1]
 
 
-def _rhs(live, x):
-    """sum_i v_i g_i(x) for the live (v_i, g_ij) pairs of each component
-    j, summed from 0.0 in channel order as a zero-initialised vector is."""
-    out = []
-    for pairs in live:
-        acc = 0.0
-        for v, comp in pairs:
-            acc += v * eval_expr(comp, x)
-        out.append(acc)
-    return out
+# operands per generated line: a longer a * b * ... chain nests past what
+# Python's compiler accepts
+_CHAIN = 32
 
 
-def _rk4_run(sys, x0, u, step):
-    """RK4 in float arithmetic on lists, with the operation order of the
-    vector form, x + (h/6) * (((k1 + 2 k2) + 2 k3) + k4), so the states
-    are the same bits; numpy comes in only for the returned arrays."""
+def _rk4_step(sys, live):
+    """One classical RK4 step for the channels flagged in ``live``, built
+    with compile as straight-line code: step(x, v, h, half, sixth) returns
+    the next state as a list, for the piece values v.
+
+    Each field node is one assignment that does what eval_expr does:
+    math.fsum over a Sum's terms, a Product left to right from 1.0,
+    expressions.power, the primitive's evaluate. Each component is summed
+    from 0.0 in channel order, and a channel held at 0 or a zero component
+    is left out, since it adds an exact 0.0. The update keeps the vector
+    form's order, x + (h/6) * (((k1 + 2 k2) + 2 k3) + k4), so the states are
+    the same bits. A node object that the trees share is evaluated once a
+    stage. Constants, exponents, orders and primitives are bound by name,
+    so no value is printed into the source, and no line nests.
+    """
+    env = {"fsum": math.fsum, "power": power}
+    lines = []
+
+    def bind(value):
+        name = f"c{len(env)}"
+        env[name] = value
+        return name
+
+    def assign(rhs):
+        name = f"t{len(lines)}"
+        lines.append(f"{name} = {rhs}")
+        return name
+
+    def chain(first, op, operands):
+        """first op o1 op o2 ..., left to right, _CHAIN operands a line."""
+        name = assign(op.join([first, *operands[:_CHAIN]]))
+        for s in range(_CHAIN, len(operands), _CHAIN):
+            lines.append(f"{name} = " + op.join([name, *operands[s:s + _CHAIN]]))
+        return name
+
+    def node(e, xs, seen):
+        got = seen.get(id(e))
+        if got is not None:
+            return got
+        if isinstance(e, Constant):
+            got = bind(e.value)
+        elif isinstance(e, Var):
+            got = xs[e.index - 1]
+        elif isinstance(e, Sum):
+            terms = "".join(node(t, xs, seen) + ", " for t in e.terms)
+            got = assign(f"fsum(({terms}))")
+        elif isinstance(e, Product):
+            got = chain("1.0", " * ", [node(f, xs, seen) for f in e.factors])
+        elif isinstance(e, Power):
+            got = assign(f"power({node(e.base, xs, seen)}, {bind(e.exponent)})")
+        elif isinstance(e, Primitive):
+            f = bind(get_primitive(e.name).evaluate)
+            got = assign(f"{f}({bind(e.order)}, {node(e.arg, xs, seen)})")
+        else:
+            raise ExprError(f"not an expression node: {e!r}")
+        seen[id(e)] = got
+        return got
+
+    n = sys.n
+    xs = [f"a{j}" for j in range(n)]
+    inputs, ks = xs, []
+    for scale in ("half", "half", "h", None):
+        seen = {}
+        k = [chain("0.0", " + ", [f"v{i} * {node(g[j], inputs, seen)}"
+                                  for i, g in enumerate(sys.g) if live[i] and g[j] != ZERO])
+             for j in range(n)]
+        ks.append(k)
+        if scale is not None:
+            inputs = [f"s{len(lines)}_{j}" for j in range(n)]
+            lines += [f"{s} = {a} + {scale} * {b}" for s, a, b in zip(inputs, xs, k)]
+    update = ", ".join(f"{a} + sixth * ((({k1} + 2.0 * {k2}) + 2.0 * {k3}) + {k4})"
+                       for a, k1, k2, k3, k4 in zip(xs, *ks))
+    body = [f"{''.join(a + ', ' for a in xs)}= x",
+            f"{''.join(f'v{i}, ' for i in range(sys.m))}= v",
+            *lines, f"return [{update}]"]
+    source = "def step(x, v, h, half, sixth):\n" + "".join(f"    {b}\n" for b in body)
+    exec(compile(source, "<rk4 step>", "exec"), env)
+    return env["step"]
+
+
+def _rk4_run(sys, x0, u, step, steps):
+    """RK4 at ``step``, each piece split into equal steps that land on its
+    breakpoints; ``steps`` caches the step function per channel mask."""
     x = [float(v) for v in x0]
     times = [0.0]
     states = [x]
@@ -212,16 +301,13 @@ def _rk4_run(sys, x0, u, step):
         n_steps = max(1, math.ceil(length / step - 1e-12))
         h = length / n_steps
         half, sixth = 0.5 * h, h / 6.0
-        # a zero channel or a zero component adds an exact 0.0: left out
-        live = [[(v, g[j]) for v, g in zip(u.values[p], sys.g)
-                 if v != 0.0 and g[j] != ZERO] for j in range(sys.n)]
+        values = u.values[p]
+        live = tuple(v != 0.0 for v in values)
+        if live not in steps:
+            steps[live] = _rk4_step(sys, live)
+        advance = steps[live]
         for _ in range(n_steps):
-            k1 = _rhs(live, x)
-            k2 = _rhs(live, [a + half * b for a, b in zip(x, k1)])
-            k3 = _rhs(live, [a + half * b for a, b in zip(x, k2)])
-            k4 = _rhs(live, [a + h * b for a, b in zip(x, k3)])
-            x = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-                 for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+            x = advance(x, values, h, half, sixth)
             t += h
             if not all(map(math.isfinite, x)):
                 raise OdeBlowupError(t)
@@ -238,7 +324,8 @@ def ode_reference(sys, x0, u, step):
 
     Runs at ``step`` and ``step/2``; the reported trajectory and output
     come from the finer run, and the error estimate is the standard
-    Richardson value |y_h - y_{h/2}| / 15.
+    Richardson value |y_h - y_{h/2}| / 15. Both runs share one generated
+    step function per live-channel mask (_rk4_step), built for this call.
     """
     if step <= 0:
         raise ValueError("step must be > 0")
@@ -246,8 +333,9 @@ def ode_reference(sys, x0, u, step):
         raise ValueError(f"control has {u.m} channels, system has {sys.m}")
     if len(x0) != sys.n:
         raise ValueError(f"x0 has {len(x0)} components, system has n = {sys.n}")
-    _, states_c = _rk4_run(sys, x0, u, step)
-    times, states = _rk4_run(sys, x0, u, step / 2.0)
+    steps = {}  # channel mask -> step function, shared by both runs
+    _, states_c = _rk4_run(sys, x0, u, step, steps)
+    times, states = _rk4_run(sys, x0, u, step / 2.0, steps)
     c = np.asarray(sys.c, dtype=float)
     y_fine = float(c @ states[-1])
     y_coarse = float(c @ states_c[-1])

@@ -23,6 +23,7 @@ from chenfliess import (
     spectral_norm,
     theorem1_bound,
 )
+from chenfliess.bounds import _at_least_sigma_max
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +367,40 @@ def test_spectral_norm_matches_svd():
             np.linalg.svd(A, compute_uv=False)[0], rel=1e-8
         )
     assert spectral_norm(np.zeros((3, 3))) == 0.0
+
+
+def test_spectral_norm_is_an_upper_bound_on_near_degenerate_spectra():
+    # sigma_2 = sigma_1 (1 - gap): a power iteration stops below sigma_max here
+    rng = np.random.default_rng(8)
+    for gap in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10):
+        for n in (2, 3, 6, 11, 20):
+            U = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            V = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            top = rng.uniform(0.1, 10.0)
+            s = np.sort(rng.uniform(0.0, top * (1 - gap), n))[::-1]
+            s[:2] = top, top * (1 - gap)
+            A = (U * s) @ V.T
+            sigma = np.linalg.svd(A, compute_uv=False)[0]
+            got = spectral_norm(A)
+            assert sigma <= got <= sigma * (1 + 1e-6), (gap, n)
+    # scaled far from 1, and exact where the matrix is
+    A = rng.normal(size=(5, 3))
+    for scale in (1e-300, 1e300):
+        sigma = np.linalg.svd(A * scale, compute_uv=False)[0]
+        assert sigma <= spectral_norm(A * scale) <= sigma * (1 + 1e-6)
+    # a short decimal is returned only where exact arithmetic proves it
+    assert spectral_norm(np.diag([1.0, -1.0, 0.5])) == 1.0
+    assert spectral_norm([[0.0, 1.0], [0.0, 0.0]]) == 1.0
+    assert max_spectral_norm([np.diag([1.0, 2.0]), np.diag([3.0, 0.5])]) == 3.0
+    shift = np.array([[0.0, 1.0], [0.0, 0.0]])
+    assert _at_least_sigma_max(1.0, shift)
+    assert not _at_least_sigma_max(math.nextafter(1.0, 0.0), shift)
+    # 1 - A^T A = [[0, -1], [-1, 0]]: a zero pivot on a nonzero row
+    assert not _at_least_sigma_max(1.0, np.array([[1.0, 1.0], [0.0, 0.0]]))
+    A = rng.normal(size=(7, 7))
+    sigma = np.linalg.svd(A, compute_uv=False)[0]
+    assert _at_least_sigma_max(sigma * (1 + 1e-12), A)
+    assert not _at_least_sigma_max(sigma * (1 - 1e-12), A)
 
 
 def test_max_spectral_norm():

@@ -24,9 +24,10 @@ from chenfliess import (
     system_from_exprs,
     truncation_tail,
 )
-from chenfliess.expressions import eval_expr
+from chenfliess.expressions import Constant, Power, Primitive, Product, Sum, Var, eval_expr
 from chenfliess.learning import random_control_path, sample_ball
-from chenfliess.lie import words_up_to
+from chenfliess.lie import SystemSpec, words_up_to
+from chenfliess.series import _rk4_step
 from chenfliess.signatures import signature_up_to
 
 from conftest import random_path, rk4_vector_oracle
@@ -139,6 +140,66 @@ def test_shared_tables_reused_across_calls():
     b = chen_fliess_eval(sys, (0.3, -0.4), u, 8, lie_table=lie, sig_table=sig)
     assert a.value != b.value
     assert len(lie) == 2**9 - 1
+
+
+def test_order_sweep_on_one_table_is_a_fresh_table_per_order():
+    rng = np.random.default_rng(41)
+    for name, K_max in (("bilinear2d", 8), ("analytic1d", 7), ("hopfield2", 5)):
+        built = builtin_system(name)
+        sys = built.spec
+        table = LieTable(sys)
+        for _ in range(2):  # the second sweep starts on a grown table
+            u = random_path(rng, sys.m, sys.M, sys.T)
+            x0 = tuple(sample_ball(rng, sys.n, sys.r, 1)[0])
+            sig = signature_up_to(u, K_max)
+            for K in range(1, K_max + 1):
+                got = chen_fliess_eval(sys, x0, u, K, family=built.family,
+                                       lie_table=table, sig_table=sig)
+                want = chen_fliess_eval(sys, x0, u, K, family=built.family)
+                assert got.to_json() == want.to_json(), (name, K)
+
+
+def test_one_point_memo_follows_the_point_and_the_table():
+    sys = bilinear_system([[[0.0, 1.0], [0.5, 0.2]], [[0.3, -0.7], [0.4, 0.1]]],
+                          c=(1.0, 0.0), r=1.0, M=1.0, T=1.0)
+    words = words_up_to(sys.m, 6)
+    cols = np.arange(len(words))
+    table = LieTable(sys)
+
+    def fresh(K, X):
+        return LieTable(sys).features(K, cols[:2 ** (K + 1) - 1], X).tobytes()
+
+    # the feature of word (1,) is x2, so the two points differ in sign only there
+    plus, minus = np.array([[0.3, 0.0]]), np.array([[0.3, -0.0]])
+    assert fresh(2, plus) != fresh(2, minus)
+    sizes = []
+    for K, X in ((2, plus), (2, minus), (2, plus), (4, plus), (6, plus), (6, minus),
+                 (3, plus)):
+        assert table.features(K, cols[:2 ** (K + 1) - 1], X).tobytes() == fresh(K, X)
+        sizes.append(len(table._ring.polys))
+    assert sizes == [8, 8, 8, 32, 128, 128, 128]  # the table grows between calls
+    # N > 1 takes the batch path: the same bytes as a fresh table
+    X = np.array([[0.3, 0.0], [0.1, -0.2], [0.3, -0.0]])
+    assert (table.features(6, cols, X).tobytes()
+            == LieTable(sys).features(6, cols, X).tobytes())
+    for shared in (table, LieTable(sys)):
+        got = feature_matrix(sys, X, 5, lie_table=shared)[1]
+        assert got.tobytes() == LieTable(sys).evaluate(
+            [w[::-1] for w in words_up_to(sys.m, 5)], X).tobytes()
+
+
+def test_a_stored_row_that_overflows_is_not_asked_for():
+    # math.fsum of the order-1 entry 1e308 x1 + 1e308 x2 overflows at x0;
+    # with channel 1 held at 0 only the order-0 feature is asked for, and
+    # the memo must not raise
+    sys = bilinear_system([[[1e308, 1e308], [0.0, 0.0]]], c=(1.0, 0.0), r=2.0,
+                          M=1.0, T=0.3)
+    table = LieTable(sys)
+    table.ensure_depth(2)
+    ev = chen_fliess_eval(sys, (1.0, 1.0), constant_path((0.0,), 0.3), 2, lie_table=table)
+    assert ev.contributions == (1.0, 0.0, 0.0)
+    with pytest.raises(FloatingPointError, match="non-finite features"):
+        chen_fliess_eval(sys, (1.0, 1.0), constant_path((1.0,), 0.3), 2, lie_table=table)
 
 
 def _per_word_pairing(sys, x0, K, lie_table, sig_table):
@@ -339,6 +400,121 @@ def test_float_rk4_blows_up_at_the_vector_rk4_time():
     with pytest.raises(OdeBlowupError) as want:
         rk4_vector_oracle(sys, (1.0,), u, 1e-3)
     assert got.value.t.hex() == want.value.t.hex()
+
+
+def _eval_expr_step(sys, x, v, h):
+    """One RK4 step with eval_expr at every stage, every channel with
+    v_i != 0 and every component included, in the vector form's order."""
+    def f(y):
+        out = []
+        for j in range(sys.n):
+            acc = 0.0
+            for vi, g in zip(v, sys.g):
+                if vi != 0.0:
+                    acc += vi * eval_expr(g[j], y)
+            out.append(acc)
+        return out
+
+    k1 = f(x)
+    k2 = f([a + 0.5 * h * b for a, b in zip(x, k1)])
+    k3 = f([a + 0.5 * h * b for a, b in zip(x, k2)])
+    k4 = f([a + h * b for a, b in zip(x, k3)])
+    return [a + h / 6.0 * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+
+
+def _outcome(f, *args):
+    """The bytes of f's result, or the type of the error it raises."""
+    try:
+        return np.array(f(*args)).tobytes()
+    except ArithmeticError as err:
+        return type(err)
+
+
+def _nested(depth):
+    e = Var(1)
+    for k in range(depth):
+        e = Primitive("tanh" if k % 2 else "sigma", k % 3, e)
+    return e
+
+
+def _step_cases():
+    cases = [(name, builtin_system(name).spec) for name in ("bilinear2d", "analytic1d",
+                                                             "hopfield2")]
+    x1, x2 = Var(1), Var(2)
+    # x1^400 saturates to +inf, x1^401 to -inf and x2^-3 near -0 to -inf;
+    # at x2 = -0.0 both paths raise ZeroDivisionError
+    cases.append(("saturating powers", SystemSpec(
+        n=2, m=2, g=((Power(x1, 400), Power(x2, -3)),
+                     (Product((Constant(-1.0), Power(x1, 401))), Power(x2, -1))),
+        c=(1.0, 0.0), r=20.0, M=1.0, T=0.5)))
+    prims = [Primitive(name, k, Sum((x1, Product((Constant(0.5), x2)))))
+             for name in ("sigma", "tanh") for k in range(4)]
+    cases.append(("sigma and tanh at orders 0-3", SystemSpec(
+        n=2, m=2, g=((Sum(tuple(prims[:4])), Product(tuple(prims[4:]))),
+                     (Sum(tuple(prims[4:])), Product(tuple(prims[:4])))),
+        c=(1.0, 1.0), r=1.0, M=1.0, T=0.5)))
+    cases.append(("constants 1e308, -0.0 and inf", SystemSpec(
+        n=2, m=2, g=((Product((Constant(1e308), Constant(1e-308), x2,
+                               Power(Constant(math.inf), 0))),
+                      Sum((Product((Constant(-0.0), x1)), Constant(-0.0)))),
+                     (Constant(-0.0), Product((Constant(1e-308), Sum((
+                         Constant(1e308), Product((Constant(-1e308), x1)))))))),
+        c=(1.0, 0.0), r=1.0, M=1.0, T=0.3)))
+
+    def product(count):
+        return Product(tuple(Constant(1.0 + (k % 7) * 1e-5) if k % 50 else Var(1 + k % 2)
+                             for k in range(count)))
+
+    # 5,000 factors: longer than one line of generated code may chain
+    cases.append(("products of 500 and 5000 factors", SystemSpec(
+        n=2, m=2, g=((product(500), Sum((x1, Product((Constant(-1.0), x2))))),
+                     (x2, product(5000))),
+        c=(1.0, 0.0), r=1.0, M=1.0, T=0.03)))
+    cases.append(("nesting 250 levels deep", SystemSpec(
+        n=1, m=1, g=((_nested(250),),), c=(1.0,), r=1.0, M=1.0, T=0.05)))
+    cases.append(("a blow-up", system_from_exprs(1, 1, [["x1^2"]], (1.0,), r=3.0,
+                                                 M=1.0, T=2.0)))
+    return cases
+
+
+_STEP_CASES = _step_cases()
+
+
+@pytest.mark.parametrize("name,sys", _STEP_CASES, ids=[name for name, _ in _STEP_CASES])
+def test_generated_step_is_eval_expr_and_the_vector_rk4_bit_for_bit(name, sys):
+    rng = np.random.default_rng([21, sys.n, sys.m])
+    points = [tuple(float(v) for v in sample_ball(rng, sys.n, min(sys.r, 1.0), 1)[0])
+              for _ in range(3)]
+    if name == "saturating powers":
+        points += [(10.0, -1e-110), (-10.0, 1e-110), (0.5, -0.0)]
+    values = [tuple(float(v) for v in rng.uniform(-1.0, 1.0, sys.m)) for _ in range(2)]
+    values.append((0.0,) + values[0][1:])  # channel 1 held at 0
+    for v in values:
+        live = tuple(vi != 0.0 for vi in v)
+        step = _rk4_step(sys, live)
+        for x in points:
+            for h in (1e-3, 0.25):
+                got = _outcome(step, list(x), v, h, 0.5 * h, h / 6.0)
+                assert got == _outcome(_eval_expr_step, sys, list(x), v, h), (x, v, h)
+    for seed in range(2):
+        u = random_path(np.random.default_rng([seed, 21]), sys.m, sys.M, sys.T)
+        for x0 in points[:2]:
+            try:
+                want = rk4_vector_oracle(sys, x0, u, 1e-2)
+            except OdeBlowupError as err:
+                with pytest.raises(OdeBlowupError) as got:
+                    ode_reference(sys, x0, u, 1e-2)
+                assert got.value.t.hex() == err.t.hex()
+                continue
+            _assert_same_bits(ode_reference(sys, x0, u, 1e-2), want)
+    if name in ("saturating powers", "a blow-up"):
+        x0 = (10.0, -1e-110) if sys.n == 2 else (1.0,)
+        with pytest.raises(OdeBlowupError) as got:
+            ode_reference(sys, x0, constant_path((1.0,) * sys.m, sys.T), 1e-3)
+        with pytest.raises(OdeBlowupError) as want:
+            rk4_vector_oracle(sys, x0, constant_path((1.0,) * sys.m, sys.T), 1e-3)
+        assert got.value.t.hex() == want.value.t.hex()
 
 
 # ---------------------------------------------------------------------------
