@@ -30,7 +30,8 @@ from .expressions import Expr, eval_expr
 from .families import family_from_json_dict
 from .lie import ResourceCapError, warn_if_c_not_unit, word_lengths
 from .series import feature_matrix
-from .signatures import ControlPath, signature_matrix, signature_norm_bound
+from .signatures import (ControlPath, signature_columns, signature_matrix,
+                         signature_norm_bound, suffix_closure)
 from .systems import builtin_system, load_system_file
 
 # not called here, but benchmark/tracer.py wraps these names in this module
@@ -148,21 +149,30 @@ def coefficient_box(words, M, T):
     return np.array([signature_norm_bound(M, T, len(w)) for w in words])
 
 
-def random_control_path(rng, m, M, T, pieces=3):
-    """Random piecewise-constant control: sorted uniform breakpoints,
-    values uniform in [-M, M]."""
+def random_controls(rng, n, m, M, T, pieces=3):
+    """n random piecewise-constant controls as arrays: (n, pieces + 1)
+    breakpoints (0, sorted uniform, T) and (n, pieces, m) values uniform in
+    [-M, M]. A row whose breakpoints tie is redrawn. At T = 0 the controls
+    have no pieces."""
     if pieces < 1:
         raise ValueError(f"need pieces >= 1, got {pieces}")
+    if not T >= 0:
+        raise ValueError(f"need T >= 0, got {T}")
     if T == 0:
-        return ControlPath(m, (0.0,), (), M)
-    while True:
-        interior = np.sort(rng.uniform(0.0, T, size=pieces - 1))
-        bp = (0.0, *interior.tolist(), T) if pieces > 1 else (0.0, T)
-        if all(b > a for a, b in zip(bp, bp[1:])):
-            break
-    values = rng.uniform(-M, M, size=(pieces, m))
-    return ControlPath(m, tuple(float(t) for t in bp),
-                       tuple(tuple(float(v) for v in row) for row in values), M)
+        return np.zeros((n, 1)), np.zeros((n, 0, m))
+    bp = np.empty((n, pieces + 1))
+    bp[:, 0], bp[:, -1] = 0.0, T
+    redraw = np.arange(n)
+    while redraw.size:
+        bp[redraw, 1:-1] = np.sort(rng.uniform(0.0, T, size=(redraw.size, pieces - 1)), axis=1)
+        redraw = np.flatnonzero(np.any(np.diff(bp, axis=1) <= 0.0, axis=1))
+    return bp, rng.uniform(-M, M, size=(n, pieces, m))
+
+
+def random_control_path(rng, m, M, T, pieces=3):
+    """One random_controls draw as a ControlPath."""
+    bp, values = random_controls(rng, 1, m, M, T, pieces)
+    return ControlPath(m, tuple(bp[0].tolist()), tuple(map(tuple, values[0].tolist())), M)
 
 
 def sample_ball(rng, n, r, N):
@@ -237,18 +247,22 @@ class RademacherEstimate:
 def empirical_rademacher(data, sys, K, n_controls, n_eps, seed, pieces=3):
     """Monte Carlo estimate of E_eps sup_u |sum_i eps_i model_u(X_i)| / N.
 
-    Each control path derives its stream from (seed, index), so results
-    are independent of evaluation order. The signs meet the live features
-    first (a column zero at every point adds nothing): A = Phi^T eps^T is
-    (live words x draws), and flipping u negates the odd-length signature
-    entries, so each sup over {u, -u} is |S_even A_even| + |S_odd A_odd|."""
+    The controls are one random_controls draw from the (seed, 1) stream
+    and the signs come from (seed, 2), so results do not depend on
+    evaluation order. Signatures are computed on the suffix closure of the
+    live columns only (a column zero at every point adds nothing). The
+    signs meet the live features first: A = Phi^T eps^T is (live words x
+    draws), and flipping u negates the odd-length signature entries, so
+    each sup over {u, -u} is |S_even A_even| + |S_odd A_odd|."""
     if n_controls < 1 or n_eps < 1:
         raise ValueError("need n_controls >= 1 and n_eps >= 1")
     _, Phi = feature_matrix(sys, data.x, K)
     live = np.flatnonzero(np.any(Phi != 0.0, axis=0))
-    paths = [random_control_path(np.random.default_rng([seed, 1, c]), sys.m,
-                                 sys.M, sys.T, pieces) for c in range(n_controls)]
-    sigs = signature_matrix(paths, K)[:, live]
+    bp, values = random_controls(np.random.default_rng([seed, 1]), n_controls, sys.m,
+                                 sys.M, sys.T, pieces)
+    cols = suffix_closure(sys.m, K, live)
+    sigs = signature_columns(np.diff(bp, axis=1)[:, :, None] * values, K, cols, sys.M,
+                             sys.T)[:, np.searchsorted(cols, live)]
     odd = word_lengths(sys.m, K)[live] % 2 == 1
     eps = np.random.default_rng([seed, 2]).integers(0, 2, size=(n_eps, data.N)) * 2.0 - 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below

@@ -149,47 +149,98 @@ def _assert_simplex_bound(S, lengths, M, T):
 
 def signature_matrix(paths, K):
     """(B, W) signatures of B paths, columns in words_up_to(m, K) order
-    (level k is the C-order (B, m^k) block, first letter slowest).
-
-    A piece of length dt and value u has level-j signature
-    E_j = (dt u)^{(x)j} / j!; level k becomes sum_{i <= k} L_i (x) E_{k-i},
-    in Horner form. Shorter paths get zero-length pieces, which is exact
-    (E_0 = 1, E_j = 0 for j > 0). Broadcast products only (no BLAS), so
-    results do not depend on the thread count; every row is checked
-    against its path's simplex bound."""
+    (level k is the C-order (B, m^k) block, first letter slowest), each row
+    checked against its path's simplex bound."""
     paths = list(paths)
-    S = _chen_product(paths, K)
-    _assert_simplex_bound(S, word_lengths(paths[0].m, K), [u.M for u in paths],
-                          [u.T for u in paths])
+    if len({u.m for u in paths}) != 1:
+        raise ValueError("need one or more paths with the same channel count")
+    return signature_columns(_steps(paths), K, None, [u.M for u in paths],
+                             [u.T for u in paths])
+
+
+def signature_columns(steps, K, cols, M, T):
+    """(B, len(cols)) signature entries of B paths given as (B, pieces, m)
+    steps dt * u, on a sorted, suffix-closed set ``cols`` of
+    words_up_to(m, K) columns (None: every column). Every returned column
+    is checked against the simplex bound of its path's M and T (scalars or
+    one per path)."""
+    S, lengths = _chen_columns(np.asarray(steps, dtype=float), K, cols)
+    _assert_simplex_bound(S, lengths, np.broadcast_to(M, len(S)), np.broadcast_to(T, len(S)))
     return S
 
 
-def _chen_product(paths, K):
-    """The unchecked kernel of signature_matrix; its callers check the
-    simplex bound once."""
-    if len({u.m for u in paths}) != 1:
-        raise ValueError("need one or more paths with the same channel count")
-    m = paths[0].m
-    check_word_cap(m, K)
-    B = len(paths)
-    steps = np.zeros((max(u.pieces for u in paths), B, m))  # dt * u per piece
+def _steps(paths):
+    """(B, pieces, m) steps dt * u; shorter paths get zero-length pieces,
+    which is exact (E_0 = 1, E_j = 0 for j > 0)."""
+    steps = np.zeros((len(paths), max(u.pieces for u in paths), paths[0].m))
     for b, u in enumerate(paths):
         if u.pieces:
-            steps[: u.pieces, b] = np.diff(u.breakpoints)[:, None] * u.values
-    levels = [np.ones((B, 1))] + [np.zeros((B, m**k)) for k in range(1, K + 1)]
-    for x in steps[:, :, None, :]:
-        for k in range(K, 0, -1):  # descending: levels below k are still old
-            acc = levels[0]
-            for i in range(1, k + 1):
-                acc = (acc[:, :, None] * x).reshape(B, -1) / (k - i + 1) + levels[i]
-            levels[k] = acc
-    return np.concatenate(levels, axis=1)
+            steps[b, : u.pieces] = np.diff(u.breakpoints)[:, None] * u.values
+    return steps
+
+
+def _letters(m, K, cols):
+    """Length, first letter (0-based) and column of w[1:] for each
+    words_up_to(m, K) column; the empty word is its own tail."""
+    lengths = word_lengths(m, K)[cols]
+    powers = m ** np.arange(K + 1)
+    start = np.cumsum(powers) - powers  # column of each level's first word
+    below = np.maximum(lengths - 1, 0)
+    first, rest = np.divmod(cols - start[lengths], powers[below])
+    return lengths, first, start[below] + rest
+
+
+def suffix_closure(m, K, cols):
+    """Sorted words_up_to(m, K) columns of every suffix of the words at
+    ``cols``, the words themselves and the empty word included."""
+    out = [np.asarray(cols, dtype=np.intp)]
+    while out[-1].size:
+        out.append(_letters(m, K, out[-1][out[-1] > 0])[2])
+    return np.unique(np.concatenate(out))
+
+
+def _chen_columns(steps, K, cols=None):
+    """The unchecked kernel of signature_columns; returns the entries and
+    their word lengths.
+
+    Chen's identity from the last piece: S <- E (x) S, where a piece of
+    step x has E^v = x_{v1} ... x_{vj} / j!. So (E (x) S)^w is, in Horner
+    form, H_0(w) with H_i(v) = S^v + x_{v1} H_{i+1}(v[1:]) / (i + 1): one
+    flat update per depth i over the columns of length <= K - i. It reads
+    only suffixes, so any suffix-closed set is exact on its own."""
+    B, pieces, m = steps.shape
+    check_word_cap(m, K)
+    W = len(word_lengths(m, K))
+    cols = np.arange(W) if cols is None else np.asarray(cols, dtype=np.intp)
+    if cols.size and (cols[0] != 0 or np.any(np.diff(cols) <= 0) or cols[-1] >= W):
+        raise ValueError("columns must be sorted, distinct, in range and hold the empty word")
+    lengths, first, tail = _letters(m, K, cols)
+    position = np.full(W, -1)
+    position[cols] = np.arange(len(cols))
+    tail = position[tail]
+    if np.any(tail < 0):
+        raise ValueError("the column set is not suffix-closed")
+    first[:1] = m  # a zero channel, so the empty word keeps its 1
+    sizes = np.searchsorted(lengths, np.arange(K + 1), side="right")
+    x = np.take(np.concatenate([steps, np.zeros((B, pieces, 1))], axis=2), first, axis=2)
+    S = np.zeros((B, len(cols)))
+    S[:, :1] = 1.0
+    for p in range(pieces - 1, -1, -1):
+        H = S[:, :1]
+        for i in range(K - 1, -1, -1):
+            k = sizes[K - i]
+            H = np.take(H, tail[:k], axis=1)  # in place from here: S + x H / (i + 1)
+            H *= x[:, p, :k]
+            H /= i + 1
+            H += S[:, :k]
+        S = H
+    return S, lengths
 
 
 def signature_entry(u, w):
-    """Exact signature entry for one word: the Chen product of
-    signature_matrix restricted to the prefixes of w, O(pieces |w|^2)
-    with no word enumeration."""
+    """Exact signature entry for one word: Chen's identity from the first
+    piece, on the prefixes of w (the column kernel runs from the last
+    piece, on suffixes), O(pieces |w|^2) with no word enumeration."""
     w = validate_word(w, u.m)
     prefix = [1.0] + [0.0] * len(w)  # entries for w[:k] of the path so far
     for dt, row in zip(np.diff(u.breakpoints), u.values):
@@ -268,4 +319,5 @@ def signature_up_to(u, K):
     """All entries for |w| <= K: row 0 of signature_matrix([u], K), the
     Chen product of the truncated exponentials of u's pieces. The
     SignatureTable checks the simplex bound."""
-    return SignatureTable(m=u.m, K=K, M=u.M, T=u.T, row=_chen_product([u], K)[0])
+    row = _chen_columns(_steps([u]), K)[0][0]
+    return SignatureTable(m=u.m, K=K, M=u.M, T=u.T, row=row)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chenfliess import (
+    ControlPath,
     analytic_bound,
     Dataset,
     DataValidationError,
@@ -28,9 +29,9 @@ from chenfliess import (
 )
 from chenfliess import learning
 from chenfliess.expressions import ONE, ZERO, eval_expr
-from chenfliess.learning import coefficient_box
+from chenfliess.learning import coefficient_box, random_controls
 from chenfliess.lie import LieTable, ResourceCapError, system_from_exprs, words_up_to
-from chenfliess.signatures import signature_matrix
+from chenfliess.signatures import signature_columns, signature_matrix, suffix_closure
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +219,16 @@ def test_rademacher_even_odd_split_matches_explicit_flips():
         n_controls, n_eps, seed = 24, 50, 13
         est = empirical_rademacher(data, sys, K, n_controls, n_eps, seed)
         words, Phi = feature_matrix(sys, data.x, K)
-        paths = [random_control_path(np.random.default_rng([seed, 1, c]), sys.m,
-                                     sys.M, sys.T, 3) for c in range(n_controls)]
+        bp, values = random_controls(np.random.default_rng([seed, 1]), n_controls, sys.m,
+                                     sys.M, sys.T, 3)
+        paths = [ControlPath(sys.m, tuple(b), tuple(map(tuple, v)), sys.M)
+                 for b, v in zip(bp.tolist(), values.tolist())]
         sigs = signature_matrix(paths, K)
+        # the estimate's restriction to the suffix closure of the live words
+        cols = suffix_closure(sys.m, K, np.flatnonzero(np.any(Phi != 0.0, axis=0)))
+        steps = np.diff(bp, axis=1)[:, :, None] * values
+        assert np.array_equal(signature_columns(steps, K, cols, sys.M, sys.T),
+                              sigs[:, cols]), name
         parity = np.array([(-1.0) ** len(w) for w in words])
         vals = np.vstack([sigs, sigs * parity]) @ Phi.T
         eps = np.random.default_rng([seed, 2]).integers(0, 2, size=(n_eps, 40)) * 2.0 - 1.0
@@ -265,6 +273,49 @@ def test_det_matmul_does_not_depend_on_the_chunk_cap(monkeypatch):
         monkeypatch.setattr(_num, "_CHUNK_ELEMENTS", cap)
         assert np.array_equal(_num.det_matmul(A, B), want)
     assert np.allclose(want, A @ B, rtol=1e-12, atol=1e-12)
+
+
+def _broadcast_matmul(A, B):
+    """det_matmul before its einsum path: one broadcast sum over C-order copies."""
+    A, B = np.ascontiguousarray(A, dtype=float), np.ascontiguousarray(B, dtype=float)
+    return (A[:, :, None] * B[None, :, :]).sum(axis=1)
+
+
+def test_det_matmul_einsum_path_matches_the_broadcast_sum_bit_for_bit():
+    from chenfliess import _num
+
+    rng = np.random.default_rng(18)
+    shapes = [(63, 200, 512), (256, 32, 512), (9, 200, 512)]  # the pairing shapes
+    shapes += [(r, n, p) for r in (0, 1, 2, 7) for n in (0, 1, 3, 64) for p in (1, 2, 3, 17)]
+    shapes += [tuple(int(v) for v in rng.integers(1, 90, 3)) for _ in range(40)]
+    for r, n, p in shapes:
+        A, B = rng.standard_normal((r, n)), rng.standard_normal((n, p))
+        want = _broadcast_matmul(A, B).view(np.uint64)
+        flipped = (np.ascontiguousarray(A[::-1, ::-1])[::-1, ::-1],
+                   np.ascontiguousarray(B[::-1, ::-1])[::-1, ::-1])  # negative strides
+        for a, b in ((A, B), (np.asfortranarray(A), np.asfortranarray(B)), flipped):
+            assert np.array_equal(_num.det_matmul(a, b).view(np.uint64), want), (r, n, p)
+
+
+def test_det_matmul_callers_keep_the_broadcast_bits(monkeypatch):
+    from chenfliess import bounds, learning as lrn
+
+    rng = np.random.default_rng(19)
+    matrices = [rng.standard_normal((k, k)) for k in (1, 2, 3, 6)]
+    matrices.append(rng.standard_normal((5, 1)))
+    cases = []
+    for name, K in (("bilinear2d", 6), ("hopfield2", 3), ("analytic1d", 6)):
+        built = builtin_system(name)
+        data, _ = make_dataset(built.spec, built.family, 60, K, seed=20)
+        cases.append((data, built.spec, K))
+    got = ([empirical_rademacher(d, s, K, 64, 64, seed=21) for d, s, K in cases],
+           [bounds.spectral_norm(A) for A in matrices])
+    assert builtin_system("bilinear2d").family.a == 1.0
+    monkeypatch.setattr(lrn, "det_matmul", _broadcast_matmul)
+    monkeypatch.setattr(bounds, "det_matmul", _broadcast_matmul)
+    want = ([empirical_rademacher(d, s, K, 64, 64, seed=21) for d, s, K in cases],
+            [bounds.spectral_norm(A) for A in matrices])
+    assert got == want
 
 
 def test_pieces_below_one_rejected():

@@ -15,6 +15,9 @@ from chenfliess import (
     signature_up_to,
     words_up_to,
 )
+from chenfliess.learning import random_controls
+from chenfliess.lie import word_index
+from chenfliess.signatures import signature_columns, suffix_closure
 
 from conftest import mc_signature_oracle, quadrature_signature_oracle, random_path
 
@@ -168,6 +171,86 @@ def test_signature_entry_long_word_without_enumeration():
         signature_up_to(u, 25)
     want = signature_entry(u, (1,)) ** 25 / math.factorial(25)
     assert signature_entry(u, (1,) * 25) == pytest.approx(want, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the column kernel
+
+
+def _suffix_closed_columns(rng, m, K):
+    """Sorted columns of a random word set closed under taking suffixes."""
+    words = words_up_to(m, K)
+    picked = {words[j] for j in rng.choice(len(words), size=int(rng.integers(1, 6)))}
+    closed = {w[i:] for w in picked for i in range(len(w) + 1)}
+    return np.array(sorted(word_index(m, w) for w in closed)), words
+
+
+def test_signature_columns_match_signature_entry_on_suffix_closed_sets():
+    rng = np.random.default_rng(61)
+    for m in (1, 2, 3, 4):
+        K = 4 if m < 4 else 3
+        for B, T in ((1, 0.8), (7, 1.3), (5, 0.0)):  # T = 0: no pieces
+            bp, values = random_controls(rng, B, m, 1.1, T, int(rng.integers(1, 5)))
+            steps = np.diff(bp, axis=1)[:, :, None] * values
+            paths = [ControlPath(m, tuple(b), tuple(map(tuple, v)), 1.1)
+                     for b, v in zip(bp.tolist(), values.tolist())]
+            for _ in range(4):
+                cols, words = _suffix_closed_columns(rng, m, K)
+                S = signature_columns(steps, K, cols, 1.1, T)
+                assert S.shape == (B, len(cols))
+                for u, row in zip(paths, S):
+                    for j, got in zip(cols, row):
+                        w = words[j]
+                        want = signature_entry(u, w)
+                        tol = 1e-14 * signature_norm_bound(1.1, T, len(w))
+                        assert abs(got - want) <= tol, (m, B, w)
+            # the set {()} alone, and the full set
+            assert np.array_equal(signature_columns(steps, K, [0], 1.1, T), np.ones((B, 1)))
+            full = np.arange(len(words_up_to(m, K)))
+            assert np.array_equal(signature_columns(steps, K, full, 1.1, T),
+                                  signature_matrix(paths, K))
+
+
+def test_signature_columns_reject_sets_that_are_not_suffix_closed():
+    steps = np.full((2, 3, 2), 0.1)
+    for cols in ([word_index(2, (1,))],                      # no empty word
+                 [0, word_index(2, (1, 2))],                  # (2,) missing
+                 [0, 2, 1],                                   # unsorted
+                 [0, 1, 1],                                   # repeated
+                 [0, 1, 2, len(words_up_to(2, 2))]):          # out of range
+        with pytest.raises(ValueError):
+            signature_columns(steps, 2, cols, 1.0, 0.3)
+
+
+def test_signature_columns_nan_step_fails_the_simplex_bound():
+    steps = np.full((3, 2, 2), 0.1)
+    steps[1, 0, 1] = math.nan  # channel 2 of path 1: every word with a 2 is NaN
+    cols = suffix_closure(2, 3, [word_index(2, (1, 1, 2))])
+    with pytest.raises(AssertionError, match="violates the simplex bound"):
+        signature_columns(steps, 3, cols, 1.0, 0.4)
+    signature_columns(steps, 3, suffix_closure(2, 3, [word_index(2, (1, 1, 1))]), 1.0, 0.4)
+
+
+def test_suffix_closure():
+    cols = suffix_closure(3, 4, [word_index(3, (2, 3, 1)), word_index(3, (3, 1))])
+    want = [(), (1,), (3, 1), (2, 3, 1)]
+    assert cols.tolist() == sorted(word_index(3, w) for w in want)
+    assert suffix_closure(2, 3, []).tolist() == []
+
+
+def test_random_controls_raise_before_drawing_and_have_no_pieces_at_zero_horizon():
+    rng = np.random.default_rng(62)
+    state = rng.bit_generator.state
+    for pieces in (0, -1):
+        with pytest.raises(ValueError, match="need pieces >= 1"):
+            random_controls(rng, 4, 2, 1.0, 0.0, pieces)
+    assert rng.bit_generator.state == state
+    bp, values = random_controls(rng, 4, 2, 1.0, 0.0, 3)
+    assert bp.shape == (4, 1) and values.shape == (4, 0, 2)
+    # one row of a draw is random_control_path's path
+    u = random_control_path(np.random.default_rng(63), 3, 0.7, 0.9, 4)
+    bp, values = random_controls(np.random.default_rng(63), 1, 3, 0.7, 0.9, 4)
+    assert u.breakpoints == tuple(bp[0]) and u.values == tuple(map(tuple, values[0]))
 
 
 # ---------------------------------------------------------------------------
