@@ -216,7 +216,7 @@ def _tanh(x):
 # function has poles at +/- i*pi and |sigma| <= 1/sin(3) on |Im z| <= 3, so
 # sup |sigma^(k)| <= 7.1 * k!/3^k; tanh has poles at +/- i*pi/2 and
 # |tanh| <= tan(1.4) on |Im z| <= 1.4, so sup |tanh^(k)| <= 5.8 * k!/1.4^k.
-# Defaults, not claims; override with PrimitiveSpec.with_growth.
+# Proved for these shipped constants; PrimitiveSpec.with_growth sets the user's.
 LOGISTIC_GROWTH = (0.34, 7.1)
 TANH_GROWTH = (0.72, 5.8)
 

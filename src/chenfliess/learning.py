@@ -374,7 +374,6 @@ class FittedModel:
     train_risk: float
     n_iter: int
     converged: bool
-    grad_norm: float
     solver: str
     kkt_residual: float
 
@@ -399,7 +398,6 @@ class FittedModel:
             "train_risk": float(self.train_risk),
             "n_iter": self.n_iter,
             "converged": self.converged,
-            "grad_norm": float(self.grad_norm),
             "solver": self.solver,
             "kkt_residual": float(self.kkt_residual),
         }
@@ -433,21 +431,22 @@ def _lstsq(A, b):
     return out
 
 
-def _bvls(Phi, y, box, live, max_iter):
+def _bvls(Phi, y, box, max_iter):
     """Minimise |y - Phi theta|^2 over |theta| <= box by the primal
     active-set method of Stark & Parker (1995), from theta = 0.
 
-    Each step solves least squares on the free columns (columns not live
-    stay fixed at 0). A solution outside the box is cut back to the first
-    bound crossed, and that variable is held there; a solution inside is
-    taken, and the held variable whose gradient points furthest into the
-    box is released. A held gradient within rounding of 0 counts as
-    optimal, so the method stops at a KKT point. Returns (theta, steps,
-    converged)."""
-    g_tol = 1e-13 * (1.0 + float(np.max(np.abs(det_matvec(Phi.T, y)))))
+    Each step solves least squares on the free columns. A solution
+    outside the box is cut back to the first bound crossed, and that
+    variable is held there; a solution inside is taken, and the held
+    variable whose gradient points furthest into the box is released. A
+    held gradient within rounding of 0 counts as optimal, so the method
+    stops at a KKT point. Returns (theta, steps, converged)."""
     theta = np.zeros(len(box))
-    free = live.copy()
-    held = np.zeros(len(box), dtype=bool)
+    if not box.size:  # no live column: theta = 0 is the whole box
+        return theta, 1, True
+    g_tol = 1e-13 * (1.0 + float(np.max(np.abs(det_matvec(Phi.T, y)))))
+    free = np.ones(len(box), dtype=bool)
+    held = ~free
     for step in range(1, max_iter + 1):
         x, lim = theta[free], box[free]
         z = _lstsq(Phi[:, free], y - det_matvec(Phi[:, held], theta[held]))
@@ -536,12 +535,12 @@ def erm_fit(data, sys, K, loss="squared", max_iter=200_000):
     """Empirical risk minimisation over the coefficient box.
 
     Squared loss is bounded-variable least squares, solved exactly by the
-    active-set method of `_bvls` on the feature matrix Phi (N x p) itself:
-    `n_iter` counts its steps (one least-squares solve each) and
-    `kkt_residual` is the unit-step projected gradient
+    active-set method of `_bvls` on the live columns of the feature
+    matrix Phi (N x p): `n_iter` counts its steps (one least-squares
+    solve each) and `kkt_residual` is the unit-step projected gradient
     max |theta - clip(theta - grad f(theta))| of f = mean squared
     residual, recomputed at the returned theta. Absolute loss: the exact
-    simplex of `_l1_simplex` on the live columns; `n_iter` counts its
+    simplex of `_l1_simplex` on the same columns; `n_iter` counts its
     pivots and `kkt_residual` is the primal-dual gap. Both are
     deterministic; a solver that hits `max_iter` reports converged=False
     and the model is still returned. More than ERM_COLUMN_CAP live
@@ -555,21 +554,19 @@ def erm_fit(data, sys, K, loss="squared", max_iter=200_000):
         raise ResourceCapError(f"ERM over {live.sum()} live feature columns exceeds "
                                f"the cap of {ERM_COLUMN_CAP}; lower the order")
 
+    theta = np.zeros(len(box))
     if loss == "squared":
-        theta, n_iter, converged = _bvls(Phi, y, box, live, max_iter)
+        theta[live], n_iter, converged = _bvls(Phi[:, live], y, box[live], max_iter)
         res = y - det_matvec(Phi, theta)
         train_risk = float((res**2).mean())
         grad = -2.0 * det_matvec(Phi.T, res) / N
-        grad_norm = det_norm(grad)
         kkt = float(np.max(np.abs(theta - np.clip(theta - grad, -box, box))))
         solver = "bvls"
     elif loss == "absolute":
-        theta = np.zeros(len(box))
         theta[live], n_iter, converged, dual = _l1_simplex(Phi[:, live], y, box[live],
                                                            max_iter)
         res = y - det_matvec(Phi, theta)
         train_risk = float(np.abs(res).mean())
-        grad_norm = det_norm(det_matvec(Phi.T, -np.sign(res)) / N)
         kkt = abs(train_risk - dual)
         solver = "l1-simplex"
     else:
@@ -585,7 +582,6 @@ def erm_fit(data, sys, K, loss="squared", max_iter=200_000):
         train_risk=train_risk,
         n_iter=n_iter,
         converged=converged,
-        grad_norm=grad_norm,
         solver=solver,
         kkt_residual=kkt,
     )
@@ -670,7 +666,6 @@ def generalization_experiment(config):
     N = train.N
 
     model = erm_fit(train, sys_spec, K, loss=loss)
-    fitted = model.to_json_dict()
     train_risk = model.train_risk
     test_risk = model.risk(test.x, test.y) if test is not None else None
 
@@ -735,8 +730,8 @@ def generalization_experiment(config):
             "T": sys_spec.T,
         },
         "seed": seed,
-        "erm": {key: fitted[key]
-                for key in ("solver", "n_iter", "converged", "kkt_residual")},
+        "erm": {"solver": model.solver, "n_iter": model.n_iter,
+                "converged": model.converged, "kkt_residual": float(model.kkt_residual)},
         "risks": {
             "train": float(train_risk),
             "test": None if test_risk is None else float(test_risk),

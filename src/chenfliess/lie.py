@@ -13,7 +13,8 @@ Entries are computed and evaluated as canonical sparse polynomials with
 float coefficients over atoms: the state variables x_j and f^(k)(p) for
 a registered primitive f at a canonical argument polynomial p. L_g h =
 sum_j g_j dh/dx_j is one ring operation that collects like terms, and
-one kernel evaluates any set of entries at one point or at many.
+one kernel evaluates any set of entries at one point or at many. Equal
+entries share one row; zero entries are never differentiated.
 Expression trees stay the language: LieTable.entry, lie_derivative and
 differentiate (L along the coordinate field e_j) return the Expr rendered
 from the polynomial, so equal entries print the same.
@@ -286,7 +287,7 @@ class _Ring:
         self._atoms = {}  # key -> Atom, in creation order: arguments first
         self._sort_keys = {}  # monomial -> tuple of (rank, exponent)
         self.polys = []  # row -> polynomial
-        self._arg_rows = {}  # argument polynomial -> row
+        self._row_of = {}  # polynomial -> row
         self._monos = {}  # monomial -> id
         self._mono_slots = []  # id -> slots of its powers, in monomial order
         self._slots = {}  # (atom, exponent) -> slot
@@ -306,9 +307,7 @@ class _Ring:
                 expr = Primitive(name, order, render(arg))
             a = self._atoms[key] = Atom(key, name, order, index, arg, expr)
             if arg is not None:
-                row = self._arg_rows.get(arg)
-                a.arg_row = row if row is not None else self.add_row(arg)
-                self._arg_rows[arg] = a.arg_row
+                a.arg_row = self.add_row(arg)
             for r, b in enumerate(sorted(self._atoms.values(), key=attrgetter("key"))):
                 b.rank = r
             self._sort_keys.clear()
@@ -420,7 +419,11 @@ class _Ring:
     # -- stored rows and the evaluation kernel -----------------------------
 
     def add_row(self, p):
-        """Store the polynomial p for evaluation; returns its row."""
+        """The row of p, storing p for evaluation if no row holds it yet
+        (atoms are interned, so equal tuples are equal polynomials)."""
+        row = self._row_of.get(p)
+        if row is not None:
+            return row
         for m, c in p:
             mono = self._monos.get(m)
             if mono is None:
@@ -436,8 +439,9 @@ class _Ring:
             self._coef.append(c)
             self._mono.append(mono)
         self._bounds.append(len(self._coef))
+        row = self._row_of[p] = len(self.polys)
         self.polys.append(p)
-        return len(self.polys) - 1
+        return row
 
     def _stored_arrays(self):
         size = (len(self._bounds), len(self._mono_slots))
@@ -551,8 +555,8 @@ class LieTable:
     entry(()) is c^T x; entry(w + (i,)) = lie_derivative(entry(w), g_i).
     Entries are stored as canonical polynomials (polynomial(w)) and
     rendered as Expr on request (entry(w)); evaluate(words, X) and
-    features(K, cols, X) are the feature kernel. Every zero entry shares one
-    stored row, and its extensions are zero without differentiating.
+    features(K, cols, X) are the feature kernel. Equal entries share one
+    row; zero entries are never differentiated (their extensions are zero).
     Construction is single-writer; built entries may be read concurrently.
     """
 
@@ -564,7 +568,7 @@ class LieTable:
         c_x = self._ring._canon({((self._ring.var(j + 1), 1),): float(ci)
                                  for j, ci in enumerate(sys.c) if ci != 0})
         self._zero = self._ring.add_row(())
-        self._rows = {EMPTY_WORD: self._ring.add_row(c_x) if c_x else self._zero}
+        self._rows = {EMPTY_WORD: self._ring.add_row(c_x)}
         # column j of words_up_to -> row of the entry paired with it; -1 unresolved
         self._paired = np.empty(0, dtype=np.intp)
         # (bytes of the last single point, values of rows 0, 1, ... at it)
@@ -585,7 +589,7 @@ class LieTable:
                 i = w[pos] - 1
                 p = self._ring.lie(self._ring.polys[row], self._fields[i], self._caches[i],
                                    w[:pos + 1])
-                row = self._ring.add_row(p) if p else self._zero
+                row = self._ring.add_row(p)
             self._rows[w[:pos + 1]] = row
         return row
 

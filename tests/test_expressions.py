@@ -327,6 +327,22 @@ def test_growth_constants_dominate_sampled_sups(name):
         assert sup <= b * a**k * math.factorial(k) * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("name, y, strip_sup", [
+    ("sigma", 3.0, 1.0 / math.sin(3.0)),
+    ("tanh", 1.4, math.tan(1.4)),
+])
+def test_growth_constants_follow_from_the_strip_bound(name, y, strip_sup):
+    # Cauchy's estimate on circles of radius y inside |Im z| <= y (below the
+    # first pole) gives sup |f^(k)| <= strip_sup k!/y^k; the shipped (a, b)
+    # are claims only if b >= strip_sup and a >= 1/y
+    z = np.linspace(-40.0, 40.0, 80001)[None, :] + np.array([[y], [-y]]) * 1j
+    f = 1.0 / (1.0 + np.exp(-z)) if name == "sigma" else np.tanh(z)
+    sup = float(np.max(np.abs(f)))
+    assert strip_sup * (1 - 1e-6) < sup <= strip_sup * (1 + 1e-12)
+    a, b = get_primitive(name).growth
+    assert b >= strip_sup and a >= 1.0 / y
+
+
 def test_logistic_low_order_values():
     spec = get_primitive("sigma")
     assert spec.evaluate(0, 0.0) == pytest.approx(0.5)

@@ -400,7 +400,21 @@ def test_erm_nonconvergence_reported(tmp_path):
     model = erm_fit(data, sys, 3, loss="squared", max_iter=3)
     assert not model.converged
     assert model.n_iter == 3
-    assert model.grad_norm > 0.0
+    assert model.kkt_residual > 0.0
+
+
+def test_erm_without_live_columns_returns_zero():
+    # c = 0: every feature column is zero, so no word is live
+    blind = bilinear_system([np.eye(2), np.ones((2, 2))], c=(0.0, 0.0), r=1.0, M=1.0,
+                            T=0.3)
+    X = sample_ball(np.random.default_rng(15), 2, 1.0, 40)
+    data = Dataset(X, np.linspace(-1.0, 1.0, 40), 1.0, 1.0)
+    # one active-set step finds nothing free; the simplex starts optimal
+    for loss, steps in (("squared", 1), ("absolute", 0)):
+        model = erm_fit(data, blind, 3, loss=loss)
+        assert not np.any(model.theta), loss
+        assert model.n_iter == steps and model.converged, loss
+        assert model.kkt_residual == 0.0, loss
 
 
 def _squared_oracle(model, data):

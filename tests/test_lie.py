@@ -194,6 +194,25 @@ def test_zero_entries_share_one_row_and_are_never_differentiated(monkeypatch):
         assert np.all(table.evaluate(zero, points) == 0.0)
 
 
+def test_equal_entries_share_one_row():
+    # that every word's polynomial is the one grown along it is checked by
+    # test_zero_entries_share_one_row_and_are_never_differentiated
+    table = LieTable(builtin_system("hopfield2").spec)
+    table.ensure_depth(6)
+    keys = [_key(p) for p in table._ring.polys]
+    # no two stored rows are equal polynomials
+    assert len(set(keys)) == len(keys) == 471
+    assert len(table) == 5461
+    # the argument of sigma(x1) is x1, the entry of the empty word
+    x1 = _key(table.polynomial(()))
+    (atom,) = [a for a in table._ring._atoms.values()
+               if a.key[:3] == (1, "sigma", 0) and _key(a.arg) == x1]
+    assert atom.arg_row == table._rows[()]
+    bilinear = LieTable(builtin_system("bilinear2d").spec)
+    bilinear.ensure_depth(10)
+    assert len(bilinear._ring.polys) == 3
+
+
 def test_entries_round_trip_through_the_dsl():
     for name, K in (("bilinear2d", 6), ("analytic1d", 8), ("hopfield2", 4)):
         sys = builtin_system(name).spec
