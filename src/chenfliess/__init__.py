@@ -60,7 +60,6 @@ from .learning import (
     generalization_experiment,
     jensen_lemma_check,
     make_dataset,
-    model_sup_bound,
     random_control_path,
     report_to_json,
     sample_ball,

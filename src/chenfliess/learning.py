@@ -28,15 +28,14 @@ from ._num import det_dot, det_matmul, det_matvec, det_norm
 from .bounds import excess_risk_bound, loss_contraction, theorem1_bound
 from .expressions import Expr, eval_expr
 from .families import family_from_json_dict
-from .lie import ResourceCapError, warn_if_c_not_unit, word_lengths
-from .series import feature_matrix
+from .lie import LieTable, ResourceCapError, _letters, warn_if_c_not_unit
+from .series import _finite, _points, feature_matrix
 from .signatures import (ControlPath, signature_columns, signature_matrix,
-                         signature_norm_bound, suffix_closure)
+                         signature_norm_bound)
 from .systems import builtin_system, load_system_file
 
 # not called here, but benchmark/tracer.py wraps these names in this module
 from .bounds import analytic_bound, bilinear_bound, hopfield_bound  # noqa: F401
-from .lie import LieTable  # noqa: F401
 from .signatures import signature_up_to  # noqa: F401
 
 SCHEMA_VERSION = 4
@@ -183,12 +182,6 @@ def sample_ball(rng, n, r, N):
     return z * radii[:, None]
 
 
-def model_sup_bound(family, m, M, T):
-    """Certified bound on sup |model| = sum_k (mMT)^k/k! L_k (full series);
-    math.inf when the family's series diverges."""
-    return family.closed_form(m, M, T)
-
-
 def make_dataset(sys, family, N, K, seed, noise=0.0, pieces=3, planted=None):
     """Planted-model data: X uniform on the ball, labels from a hidden
     control path through the order-K series, plus bounded uniform noise.
@@ -206,7 +199,7 @@ def make_dataset(sys, family, N, K, seed, noise=0.0, pieces=3, planted=None):
     y = det_matvec(Phi, signature_matrix([planted], K)[0])
     if noise > 0.0:
         y = y + noise * rng.uniform(-1.0, 1.0, size=N)
-    m1 = model_sup_bound(family, sys.m, sys.M, sys.T) + noise
+    m1 = family.closed_form(sys.m, sys.M, sys.T) + noise
     if math.isinf(m1):
         m1 = float(np.max(np.abs(y))) * _NORM_SLACK + noise
     return Dataset(X, y, sys.r, m1), planted
@@ -249,24 +242,28 @@ def empirical_rademacher(data, sys, K, n_controls, n_eps, seed, pieces=3):
 
     The controls are one random_controls draw from the (seed, 1) stream
     and the signs come from (seed, 2), so results do not depend on
-    evaluation order. Signatures are computed on the suffix closure of the
-    live columns only (a column zero at every point adds nothing). The
-    signs meet the live features first: A = Phi^T eps^T is (live words x
-    draws), and flipping u negates the odd-length signature entries, so
-    each sup over {u, -u} is |S_even A_even| + |S_odd A_odd|."""
+    evaluation order. Features and signatures are computed only on the
+    columns of the table's live walk (LieTable.live), which is
+    suffix-closed; a column zero at every data point adds nothing and is
+    dropped afterwards. The signs meet the live features first: A =
+    Phi^T eps^T is (live words x draws), and flipping u negates the
+    odd-length signature entries, so each sup over {u, -u} is
+    |S_even A_even| + |S_odd A_odd|."""
     if n_controls < 1 or n_eps < 1:
         raise ValueError("need n_controls >= 1 and n_eps >= 1")
-    _, Phi = feature_matrix(sys, data.x, K)
-    live = np.flatnonzero(np.any(Phi != 0.0, axis=0))
+    table = LieTable(sys)
+    cols, rows = table.live(K)
+    Phi = _finite(table._values, rows, _points(sys, data.x))
     bp, values = random_controls(np.random.default_rng([seed, 1]), n_controls, sys.m,
                                  sys.M, sys.T, pieces)
-    cols = suffix_closure(sys.m, K, live)
     sigs = signature_columns(np.diff(bp, axis=1)[:, :, None] * values, K, cols, sys.M,
-                             sys.T)[:, np.searchsorted(cols, live)]
-    odd = word_lengths(sys.m, K)[live] % 2 == 1
+                             sys.T)
+    live = np.any(Phi != 0.0, axis=0)
+    Phi, sigs = Phi[:, live], sigs[:, live]
+    odd = _letters(sys.m, K, cols[live])[0] % 2 == 1
     eps = np.random.default_rng([seed, 2]).integers(0, 2, size=(n_eps, data.N)) * 2.0 - 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below
-        A = det_matmul(Phi[:, live].T, eps.T)
+        A = det_matmul(Phi.T, eps.T)
         s = abs(det_matmul(sigs[:, ~odd], A[~odd])) + abs(det_matmul(sigs[:, odd], A[odd]))
     if not np.all(np.isfinite(s)):
         raise FloatingPointError(
@@ -674,7 +671,7 @@ def generalization_experiment(config):
         report = theorem1_bound(family, sys_spec.m, sys_spec.M, sys_spec.T, N,
                                 K=int(cfg["tail_K"]))
         # one series bounds sup |model| and, over sqrt(N), the complexity
-        M2 = model_sup_bound(family, sys_spec.m, sys_spec.M, sys_spec.T)
+        M2 = family.closed_form(sys_spec.m, sys_spec.M, sys_spec.T)
         certified_value = M2 / math.sqrt(N)
         if math.isfinite(certified_value):
             M1 = train.m1

@@ -14,7 +14,9 @@ float coefficients over atoms: the state variables x_j and f^(k)(p) for
 a registered primitive f at a canonical argument polynomial p. L_g h =
 sum_j g_j dh/dx_j is one ring operation that collects like terms, and
 one kernel evaluates any set of entries at one point or at many. Equal
-entries share one row; zero entries are never differentiated.
+entries share one row; zero entries are never differentiated, so the
+nonzero entries are found by a walk that extends only them
+(LieTable.live), without enumerating words.
 Expression trees stay the language: LieTable.entry, lie_derivative and
 differentiate (L along the coordinate field e_j) return the Expr rendered
 from the polynomial, so equal entries print the same.
@@ -108,6 +110,39 @@ def word_index(m, w):
     for i in validate_word(w, m):
         j = j * m + i
     return j
+
+
+def _column_count(m, K):
+    """len(words_up_to(m, K)) by arithmetic; ResourceCapError when the last
+    column would not fit in np.intp."""
+    if K < 0:
+        raise ValueError("need K >= 0")
+    count = (m ** (K + 1) - 1) // (m - 1) if m > 1 else K + 1
+    if count - 1 > np.iinfo(np.intp).max:
+        raise ResourceCapError(f"the {count} words of length <= {K} over {m} channels "
+                               "overflow a column index; lower the order")
+    return count
+
+
+def _letters(m, K, cols):
+    """Length, first letter (0-based) and column of w[1:] for each
+    words_up_to(m, K) column; the empty word is its own tail."""
+    _column_count(m, K)
+    powers = m ** np.arange(K + 1)
+    start = np.cumsum(powers) - powers  # column of each level's first word
+    lengths = np.searchsorted(start, cols, side="right") - 1
+    below = np.maximum(lengths - 1, 0)
+    first, rest = np.divmod(cols - start[lengths], powers[below])
+    return lengths, first, start[below] + rest
+
+
+def suffix_closure(m, K, cols):
+    """Sorted words_up_to(m, K) columns of every suffix of the words at
+    ``cols``, the words themselves and the empty word included."""
+    out = [np.asarray(cols, dtype=np.intp)]
+    while out[-1].size:
+        out.append(_letters(m, K, out[-1][out[-1] > 0])[2])
+    return np.unique(np.concatenate(out))
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +590,9 @@ class LieTable:
     entry(()) is c^T x; entry(w + (i,)) = lie_derivative(entry(w), g_i).
     Entries are stored as canonical polynomials (polynomial(w)) and
     rendered as Expr on request (entry(w)); evaluate(words, X) and
-    features(K, cols, X) are the feature kernel. Equal entries share one
-    row; zero entries are never differentiated (their extensions are zero).
+    features(K, cols, X) are the feature kernel, and live(K) lists the
+    nonzero features. Equal entries share one row; zero entries are never
+    differentiated (their extensions are zero).
     Construction is single-writer; built entries may be read concurrently.
     """
 
@@ -569,8 +605,8 @@ class LieTable:
                                  for j, ci in enumerate(sys.c) if ci != 0})
         self._zero = self._ring.add_row(())
         self._rows = {EMPTY_WORD: self._ring.add_row(c_x)}
-        # column j of words_up_to -> row of the entry paired with it; -1 unresolved
-        self._paired = np.empty(0, dtype=np.intp)
+        # (columns, rows, words) of the nonzero entries of each length walked
+        self._levels = []
         # (bytes of the last single point, values of rows 0, 1, ... at it)
         self._memo = (b"", np.empty(0))
 
@@ -603,33 +639,102 @@ class LieTable:
         """(N, len(words)) array: the entry of words[j] (tuples) at X[i]."""
         return self._ring.evaluate([self._row(w) for w in words], X)
 
+    def live(self, K, within=None):
+        """(cols, rows): the sorted words_up_to(m, K) columns whose feature,
+        the entry for the reversed word, is a nonzero polynomial, and the
+        row of each. A zero entry has only zero extensions, so the walk
+        goes breadth first and extends only nonzero entries: it costs m
+        Lie derivatives per nonzero entry shorter than K, not m^K. Each
+        entry it computes is stored, zero or not.
+
+        Without ``within`` the table keeps every length it walked, so an
+        order sweep walks each length once. With a sorted, suffix-closed
+        column set ``within`` the walk visits only those columns and keeps
+        no length. More than WORD_CAP nonzero entries of one length, or a
+        column index past np.intp, raise ResourceCapError."""
+        _column_count(self.sys.m, K)
+        if within is None:
+            levels = self._levels
+        else:
+            levels, within = [], np.asarray(within, dtype=np.intp)
+        if not levels:
+            root = self._rows[EMPTY_WORD]
+            keep = int(root != self._zero and (within is None or 0 in within[:1]))
+            levels.append((np.zeros(keep, dtype=np.intp), np.full(keep, root, dtype=np.intp),
+                           [EMPTY_WORD] * keep))
+        while len(levels) <= K:
+            levels.append(self._extend(len(levels) - 1, levels[-1], within))
+        return (np.concatenate([cols for cols, _, _ in levels[:K + 1]]),
+                np.concatenate([rows for _, rows, _ in levels[:K + 1]]))
+
+    def _extend(self, k, level, within):
+        """The nonzero entries of length k + 1 that extend ``level``, the
+        nonzero entries of length k, in column order: appending channel
+        i + 1 to an entry word prepends it to the column's word, which
+        moves the column by (i + 1) m^k."""
+        cols, rows, words = level
+        rows = rows.tolist()
+        new_cols, new_rows, new_words = [], [], []
+        for i in range(self.sys.m):
+            child = cols + (i + 1) * self.sys.m**k
+            visit = range(len(child))
+            if within is not None:
+                at = np.minimum(np.searchsorted(within, child), len(within) - 1)
+                visit = np.flatnonzero(within[at] == child).tolist()
+            child = child.tolist()
+            for j in visit:
+                w = words[j] + (i + 1,)
+                row = self._rows.get(w)
+                if row is None:
+                    p = self._ring.lie(self._ring.polys[rows[j]], self._fields[i],
+                                       self._caches[i], w)
+                    row = self._rows[w] = self._ring.add_row(p)
+                if row != self._zero:
+                    new_cols.append(child[j])
+                    new_rows.append(row)
+                    new_words.append(w)
+            if len(new_rows) > WORD_CAP:
+                raise ResourceCapError(
+                    f"{len(new_rows)} nonzero entries of length {k + 1} exceed the cap of "
+                    f"{WORD_CAP}; lower the order")
+        return (np.array(new_cols, dtype=np.intp), np.array(new_rows, dtype=np.intp),
+                new_words)
+
     def features(self, K, cols, X):
         """(N, len(cols)) array: the series feature of column cols[j] of
         words_up_to(m, K) at X[i], which is the entry for the REVERSED word
-        (the pairing settled in chenfliess.series). A column is resolved to
-        its row on first use and kept, so only the columns asked for grow.
-
-        At one point (N = 1) the values of every stored row are memoized
-        with the bytes of the point, so an order sweep at one point
-        evaluates each row once; a point with other bytes (-0.0 is not
-        0.0) starts a new memo, and rows stored since are added to it. The
-        memo is one tuple, replaced whole, so concurrent readers see an
-        old or a new one. N > 1 goes to the kernel each time."""
+        (the pairing settled in chenfliess.series). The rows come from the
+        walk of live(K): every column takes the kept walk; other columns
+        walk the suffix closure of cols only, so only the entries they
+        need grow. A column the walk does not return is a zero entry, and
+        its feature is 0.0."""
         cols = np.asarray(cols, dtype=np.intp)
-        grow = sum(self.sys.m**k for k in range(K + 1)) - len(self._paired)
-        if grow > 0:
-            self._paired = np.concatenate([self._paired, np.full(grow, -1, np.intp)])
-        need = cols[self._paired[cols] < 0].tolist()
-        if need:
-            words = words_up_to(self.sys.m, K)
-            for j in need:
-                w = words[j][::-1]
-                row = self._rows.get(w)
-                self._paired[j] = row if row is not None else self._grow(w)
-        rows = self._paired[cols]
         X = np.asarray(X, dtype=float)
+        every = len(cols) == _column_count(self.sys.m, K) and np.array_equal(
+            cols, np.arange(len(cols)))
+        live, rows = self.live(K, None if every else suffix_closure(self.sys.m, K, cols))
+        out = np.zeros((X.shape[0], len(cols)))
+        if every:
+            out[:, live] = self._values(rows, X)
+        elif live.size:
+            at = np.minimum(np.searchsorted(live, cols), len(live) - 1)
+            hit = live[at] == cols
+            out[:, hit] = self._values(rows[at[hit]], X)
+        return out
+
+    def _values(self, rows, X):
+        """(N, len(rows)) values of the stored rows at the N points X[i].
+
+        N > 1 evaluates each distinct row once and gathers; a row's values
+        do not depend on the rows evaluated with it. At one point (N = 1)
+        the values of every stored row are memoized with the bytes of the
+        point, so an order sweep at one point evaluates each row once; a
+        point with other bytes (-0.0 is not 0.0) starts a new memo, and
+        rows stored since are added to it. The memo is one tuple, replaced
+        whole, so concurrent readers see an old or a new one."""
         if X.shape[0] != 1:
-            return self._ring.evaluate(rows, X)
+            distinct, inverse = np.unique(rows, return_inverse=True)
+            return self._ring.evaluate(distinct, X)[:, inverse]
         point = X.tobytes()
         key, values = self._memo
         if key != point:

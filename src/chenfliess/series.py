@@ -32,7 +32,8 @@ from .expressions import (
     power,
     simplify,
 )
-from .lie import LieTable, SystemSpec, check_word_cap, word_lengths, words_up_to
+from .lie import (LieTable, SystemSpec, _column_count, _letters, check_word_cap,
+                  suffix_closure, words_up_to)
 from .signatures import ControlPath, signature_up_to
 
 # not called here, but benchmark/tracer.py wraps this name in this module
@@ -55,19 +56,24 @@ def feature_matrix(sys, X, K, lie_table=None):
     check_word_cap(sys.m, K)
     if lie_table is None:
         lie_table = LieTable(sys)
+    X = _points(sys, X)
+    words = words_up_to(sys.m, K)
+    return words, _finite(lie_table.features, K, np.arange(len(words)), X)
+
+
+def _points(sys, X):
+    """X as an (N, n) float array; another shape raises ValueError."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != sys.n:
         raise ValueError(f"X must be (N, n) with n = {sys.n}, got shape {X.shape}")
-    words = words_up_to(sys.m, K)
-    return words, _features(lie_table, K, np.arange(len(words)), X)
+    return X
 
 
-def _features(lie_table, K, cols, X):
-    """The features of the columns cols of words_up_to(m, K) at the rows
-    of X, from the table's one kernel. A non-finite feature raises
-    FloatingPointError at one point and at many."""
+def _finite(evaluate, *args):
+    """evaluate(*args), features from a LieTable's one kernel. A
+    non-finite feature raises FloatingPointError at one point and at many."""
     try:
-        Phi = lie_table.features(K, cols, X)
+        Phi = evaluate(*args)
         finite = np.all(np.isfinite(Phi))
     except (OverflowError, ValueError):  # math.fsum at one point
         finite = False
@@ -125,7 +131,7 @@ def chen_fliess_eval(sys, x0, u, K, family=None, lie_table=None, sig_table=None,
     Pass lie_table / sig_table to share work across calls on the same
     system and control; a sig_table for another (m, M, T) raises. The
     table memoizes the values of its stored rows at the last x0
-    (LieTable.features), so an order sweep K = 1..K_max at one x0 on one
+    (LieTable._values), so an order sweep K = 1..K_max at one x0 on one
     table evaluates each row once. With ``family`` set, the truncation
     tail bound is attached and a ConvergenceWarning is issued when the
     family cannot certify convergence. With ``ode_step`` set, the RK4
@@ -150,11 +156,17 @@ def chen_fliess_eval(sys, x0, u, K, family=None, lie_table=None, sig_table=None,
     elif (sig_table.m, sig_table.M, sig_table.T) != (u.m, u.M, u.T):
         raise ValueError("sig_table was built for a control of another (m, M, T)")
 
-    # a zero signature entry adds 0.0, so its feature is never built
-    lengths = word_lengths(sys.m, K)
-    live = np.flatnonzero(sig_table.row[: len(lengths)])
-    terms = sig_table.row[live] * _features(lie_table, K, live, np.array([x0]))[0]
-    lengths = lengths[live]
+    # a zero signature entry or a zero Lie entry adds 0.0, so only live
+    # columns with a nonzero signature entry are paired, and a sparse
+    # control walks the suffix closure of its nonzero entries only
+    row = sig_table.row[: _column_count(sys.m, K)]
+    paired = np.flatnonzero(row)
+    cols, rows = lie_table.live(K, None if paired.size == row.size
+                                else suffix_closure(sys.m, K, paired))
+    keep = row[cols] != 0.0
+    cols = cols[keep]
+    terms = row[cols] * _finite(lie_table._values, rows[keep], np.array([x0]))[0]
+    lengths = _letters(sys.m, K, cols)[0]
     contributions = tuple(math.fsum(terms[lengths == k]) for k in range(K + 1))
     value = math.fsum(contributions)
 

@@ -16,7 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lie import check_word_cap, validate_word, word_index, word_lengths, words_up_to
+from .lie import (_column_count, _letters, check_word_cap, validate_word, word_index,
+                  word_lengths, words_up_to)
+# the closure of a column set belongs to the column layout in lie; exported here too
+from .lie import suffix_closure  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -179,29 +182,9 @@ def _steps(paths):
     return steps
 
 
-def _letters(m, K, cols):
-    """Length, first letter (0-based) and column of w[1:] for each
-    words_up_to(m, K) column; the empty word is its own tail."""
-    lengths = word_lengths(m, K)[cols]
-    powers = m ** np.arange(K + 1)
-    start = np.cumsum(powers) - powers  # column of each level's first word
-    below = np.maximum(lengths - 1, 0)
-    first, rest = np.divmod(cols - start[lengths], powers[below])
-    return lengths, first, start[below] + rest
-
-
-def suffix_closure(m, K, cols):
-    """Sorted words_up_to(m, K) columns of every suffix of the words at
-    ``cols``, the words themselves and the empty word included."""
-    out = [np.asarray(cols, dtype=np.intp)]
-    while out[-1].size:
-        out.append(_letters(m, K, out[-1][out[-1] > 0])[2])
-    return np.unique(np.concatenate(out))
-
-
 def _chen_columns(steps, K, cols=None):
     """The unchecked kernel of signature_columns; returns the entries and
-    their word lengths.
+    their word lengths. Only cols=None (every column) is held to WORD_CAP.
 
     Chen's identity from the last piece: S <- E (x) S, where a piece of
     step x has E^v = x_{v1} ... x_{vj} / j!. So (E (x) S)^w is, in Horner
@@ -209,17 +192,17 @@ def _chen_columns(steps, K, cols=None):
     flat update per depth i over the columns of length <= K - i. It reads
     only suffixes, so any suffix-closed set is exact on its own."""
     B, pieces, m = steps.shape
-    check_word_cap(m, K)
-    W = len(word_lengths(m, K))
+    if cols is None:
+        check_word_cap(m, K)
+    W = _column_count(m, K)
     cols = np.arange(W) if cols is None else np.asarray(cols, dtype=np.intp)
     if cols.size and (cols[0] != 0 or np.any(np.diff(cols) <= 0) or cols[-1] >= W):
         raise ValueError("columns must be sorted, distinct, in range and hold the empty word")
     lengths, first, tail = _letters(m, K, cols)
-    position = np.full(W, -1)
-    position[cols] = np.arange(len(cols))
-    tail = position[tail]
-    if np.any(tail < 0):
+    at = np.searchsorted(cols, tail)  # a tail is never past its own column
+    if np.any(cols[at] != tail):
         raise ValueError("the column set is not suffix-closed")
+    tail = at
     first[:1] = m  # a zero channel, so the empty word keeps its 1
     sizes = np.searchsorted(lengths, np.arange(K + 1), side="right")
     x = np.take(np.concatenate([steps, np.zeros((B, pieces, 1))], axis=2), first, axis=2)

@@ -20,7 +20,6 @@ from chenfliess import (
     hopfield_bound,
     jensen_lemma_check,
     make_dataset,
-    model_sup_bound,
     parse_expr,
     random_control_path,
     report_to_json,
@@ -261,6 +260,21 @@ def test_rademacher_non_finite_features_raise_without_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(FloatingPointError, match="non-finite model outputs"):
             empirical_rademacher(data, sys, 2, n_controls=8, n_eps=16, seed=1)
+
+
+def test_estimate_does_not_enumerate_words(monkeypatch):
+    # the estimate walks the nonzero Lie entries (15 of 511 words of
+    # bilinear2d at K=8, at most 2 of one length), so a word cap of 32,
+    # which every enumeration of length 6 or more trips, leaves its bits as
+    # they are
+    built = builtin_system("bilinear2d")
+    data, _ = make_dataset(built.spec, built.family, 60, 4, seed=4)
+    want = empirical_rademacher(data, built.spec, 8, n_controls=64, n_eps=32, seed=2)
+    monkeypatch.setattr("chenfliess.lie.WORD_CAP", 32)
+    with pytest.raises(ResourceCapError):
+        feature_matrix(built.spec, data.x, 8)
+    got = empirical_rademacher(data, built.spec, 8, n_controls=64, n_eps=32, seed=2)
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
 
 
 def test_det_matmul_does_not_depend_on_the_chunk_cap(monkeypatch):
@@ -699,8 +713,8 @@ def test_experiment_certificate_equals_public_closed_form():
         cert = generalization_experiment(cfg)["certified"]
         assert cert["certified"], name
         assert cert["complexity_bound"] == wrapper(built.family, built.spec, 40)
-        assert cert["model_sup_bound"] == model_sup_bound(
-            built.family, built.spec.m, built.spec.M, built.spec.T)
+        assert cert["model_sup_bound"] == built.family.closed_form(
+            built.spec.m, built.spec.M, built.spec.T)
 
 
 def test_experiment_reproducible():
@@ -783,7 +797,7 @@ def test_experiment_csv_ingestion(tmp_path):
 
 def test_model_sup_bound_scale():
     built = builtin_system("bilinear2d")
-    v = model_sup_bound(built.family, 2, 1.0, 0.3)
+    v = built.family.closed_form(2, 1.0, 0.3)
     assert v == pytest.approx(1.0 * math.exp(2 * 1.0 * 0.3 * 1.0), rel=1e-10)
 
 

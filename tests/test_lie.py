@@ -213,6 +213,48 @@ def test_equal_entries_share_one_row():
     assert len(bilinear._ring.polys) == 3
 
 
+@pytest.mark.parametrize("name,K_max,n_live", [("bilinear2d", 14, 15),
+                                               ("analytic1d", 9, 10),
+                                               ("hopfield2", 6, 919)])
+def test_live_walk_is_the_nonzero_columns(monkeypatch, name, K_max, n_live):
+    sys = builtin_system(name).spec
+    words = words_up_to(sys.m, K_max)
+    dense = LieTable(sys)
+    dense.ensure_depth(K_max)
+    nonzero = [j for j, w in enumerate(words) if dense.polynomial(w[::-1])]
+    assert len(nonzero) == n_live
+    differentiated = set()
+    lie = _Ring.lie
+
+    def spy(self, h, field, cache, what):
+        differentiated.add(what)
+        return lie(self, h, field, cache, what)
+
+    monkeypatch.setattr(_Ring, "lie", spy)
+    table = LieTable(sys)
+    for K in range(K_max + 1):  # an order sweep on one table
+        cols, rows = table.live(K)
+        assert cols.tolist() == [j for j in nonzero if len(words[j]) <= K], K
+        for j, row in zip(cols.tolist(), rows.tolist()):
+            assert _key(table._ring.polys[row]) == _key(dense.polynomial(words[j][::-1]))
+    # the extensions of the nonzero entries shorter than K_max, and nothing else
+    assert differentiated == {words[j][::-1] + (i,) for j in nonzero
+                              if len(words[j]) < K_max for i in range(1, sys.m + 1)}
+
+
+def test_live_walk_stops_at_the_caps(monkeypatch):
+    table = LieTable(builtin_system("bilinear2d").spec)
+    assert len(table.live(24)[0]) == 25  # 2^24 words of length 24, one nonzero
+    # the columns of length 62 over 2 channels pass np.intp
+    with pytest.raises(ResourceCapError, match="overflow a column index"):
+        table.live(70)
+    monkeypatch.setattr("chenfliess.lie.WORD_CAP", 8)
+    table = LieTable(builtin_system("hopfield2").spec)
+    assert len(table.live(2)[0]) == 7  # 1, 2 and 4 nonzero entries
+    with pytest.raises(ResourceCapError, match="entries of length 3 exceed the cap of 8"):
+        table.live(3)
+
+
 def test_entries_round_trip_through_the_dsl():
     for name, K in (("bilinear2d", 6), ("analytic1d", 8), ("hopfield2", 4)):
         sys = builtin_system(name).spec

@@ -139,7 +139,10 @@ def test_shared_tables_reused_across_calls():
     a = chen_fliess_eval(sys, (0.1, 0.2), u, 8, lie_table=lie, sig_table=sig)
     b = chen_fliess_eval(sys, (0.3, -0.4), u, 8, lie_table=lie, sig_table=sig)
     assert a.value != b.value
-    assert len(lie) == 2**9 - 1
+    # the nonzero entries are the alternating words 1, 12, 121, ... (one of
+    # each length); the walk stores them and their 2 x 8 extensions, and no
+    # word below a zero entry
+    assert len(lie) == 1 + 2 * 8
 
 
 def test_order_sweep_on_one_table_is_a_fresh_table_per_order():
@@ -338,18 +341,41 @@ def test_blowup_detection():
 
 
 def test_sparse_control_grows_only_the_entries_it_needs():
-    # channel 2 held at 0: the live words are 1^k, and only they are built
+    # channel 2 held at 0: the live words are 1^k, and only they are built;
+    # the entry for 11 is zero, so nothing below it is
     sys = noncommuting_system(T=1.0)
     u = ControlPath(2, (0.0, 0.4, 1.0), ((0.7, 0.0), (-0.9, 0.0)), 1.0)
     x0 = (0.6, -0.3)
     table = LieTable(sys)
     for K in range(1, 9):
         value = chen_fliess_eval(sys, x0, u, K, lie_table=table).value
-        assert len(table) == K + 1
+        assert len(table) == min(K + 1, 3)
         dense = LieTable(sys)
         dense.ensure_depth(K)
         assert value.hex() == chen_fliess_eval(sys, x0, u, K, lie_table=dense).value.hex()
         assert value.hex() == chen_fliess_eval(sys, x0, u, K).value.hex()
+
+
+def test_channels_held_at_zero_are_never_walked():
+    # hopfield2 at order 6 with channels 3 and 4 held at 0: the walk visits
+    # only the suffix closure of the words over channels 1 and 2
+    sys = builtin_system("hopfield2").spec
+    u = ControlPath(4, (0.0, 0.008, 0.02), ((0.9, -0.4, 0.0, 0.0), (-0.6, 1.0, 0.0, 0.0)),
+                    1.0)
+    x0 = (0.5, -0.6)
+    table = LieTable(sys)
+    value = chen_fliess_eval(sys, x0, u, 6, lie_table=table).value
+    assert not any(3 in w or 4 in w for w in table._rows)
+    # 65 nonzero entries over channels 1 and 2 and 2 zero extensions, of
+    # the 127 words over them
+    assert len(table) == 67
+    full = LieTable(sys)
+    full.live(6)
+    assert len(full) == 941  # what the unrestricted walk stores
+    assert value.hex() == chen_fliess_eval(sys, x0, u, 6, lie_table=full).value.hex()
+    dense = LieTable(sys)
+    dense.ensure_depth(6)
+    assert value.hex() == chen_fliess_eval(sys, x0, u, 6, lie_table=dense).value.hex()
 
 
 def _assert_same_bits(res, oracle):
