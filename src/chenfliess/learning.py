@@ -28,14 +28,15 @@ from ._num import det_dot, det_matmul, det_matvec, det_norm
 from .bounds import excess_risk_bound, loss_contraction, theorem1_bound
 from .expressions import Expr, eval_expr
 from .families import family_from_json_dict
-from .lie import LieTable, ResourceCapError, _letters, warn_if_c_not_unit
-from .series import _finite, _points, feature_matrix
-from .signatures import (ControlPath, signature_columns, signature_matrix,
-                         signature_norm_bound)
+from .lie import ResourceCapError, _letters, check_word_cap, warn_if_c_not_unit, words_up_to
+from .series import _live_features
+from .signatures import ControlPath, _steps, signature_columns, signature_norm_bound
 from .systems import builtin_system, load_system_file
 
 # not called here, but benchmark/tracer.py wraps these names in this module
 from .bounds import analytic_bound, bilinear_bound, hopfield_bound  # noqa: F401
+from .lie import LieTable  # noqa: F401
+from .series import feature_matrix  # noqa: F401
 from .signatures import signature_up_to  # noqa: F401
 
 SCHEMA_VERSION = 4
@@ -145,7 +146,9 @@ class Dataset:
 
 
 def coefficient_box(words, M, T):
-    return np.array([signature_norm_bound(M, T, len(w)) for w in words])
+    lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
+    per_length = [signature_norm_bound(M, T, k) for k in range(lengths.max(initial=-1) + 1)]
+    return np.array(per_length)[lengths]
 
 
 def random_controls(rng, n, m, M, T, pieces=3):
@@ -195,8 +198,9 @@ def make_dataset(sys, family, N, K, seed, noise=0.0, pieces=3, planted=None):
         planted = random_control_path(
             np.random.default_rng([seed, 11]), sys.m, sys.M, sys.T, pieces
         )
-    _, Phi = feature_matrix(sys, X, K)
-    y = det_matvec(Phi, signature_matrix([planted], K)[0])
+    cols, Phi = _live_features(sys, X, K)  # suffix-closed: exact signature entries
+    y = det_matvec(Phi, signature_columns(_steps([planted]), K, cols, planted.M,
+                                          planted.T)[0])
     if noise > 0.0:
         y = y + noise * rng.uniform(-1.0, 1.0, size=N)
     m1 = family.closed_form(sys.m, sys.M, sys.T) + noise
@@ -251,9 +255,7 @@ def empirical_rademacher(data, sys, K, n_controls, n_eps, seed, pieces=3):
     |S_even A_even| + |S_odd A_odd|."""
     if n_controls < 1 or n_eps < 1:
         raise ValueError("need n_controls >= 1 and n_eps >= 1")
-    table = LieTable(sys)
-    cols, rows = table.live(K)
-    Phi = _finite(table._values, rows, _points(sys, data.x))
+    cols, Phi = _live_features(sys, data.x, K)
     bp, values = random_controls(np.random.default_rng([seed, 1]), n_controls, sys.m,
                                  sys.M, sys.T, pieces)
     sigs = signature_columns(np.diff(bp, axis=1)[:, :, None] * values, K, cols, sys.M,
@@ -375,8 +377,8 @@ class FittedModel:
     kkt_residual: float
 
     def predict(self, X):
-        _, Phi = feature_matrix(self.sys, X, self.K)
-        return det_matvec(Phi, self.theta)
+        cols, Phi = _live_features(self.sys, X, self.K)
+        return det_matvec(Phi, self.theta[cols])
 
     def risk(self, X, y):
         res = np.asarray(y, dtype=float) - self.predict(X)
@@ -536,38 +538,44 @@ def erm_fit(data, sys, K, loss="squared", max_iter=200_000):
     matrix Phi (N x p): `n_iter` counts its steps (one least-squares
     solve each) and `kkt_residual` is the unit-step projected gradient
     max |theta - clip(theta - grad f(theta))| of f = mean squared
-    residual, recomputed at the returned theta. Absolute loss: the exact
+    residual, recomputed at the returned theta on the live walk's columns
+    (every other one has theta = 0 and gradient 0). Absolute loss: the exact
     simplex of `_l1_simplex` on the same columns; `n_iter` counts its
     pivots and `kkt_residual` is the primal-dual gap. Both are
     deterministic; a solver that hits `max_iter` reports converged=False
     and the model is still returned. More than ERM_COLUMN_CAP live
     columns (nonzero somewhere, box > 0) raise ResourceCapError."""
-    words, Phi = feature_matrix(sys, data.x, K)
+    check_word_cap(sys.m, K)
+    words = words_up_to(sys.m, K)
     box = coefficient_box(words, sys.M, sys.T)
+    cols, Phi = _live_features(sys, data.x, K)
+    lim = box[cols]
     y = data.y
     N = data.N
-    live = np.any(Phi != 0.0, axis=0) & (box > 0.0)
+    live = np.any(Phi != 0.0, axis=0) & (lim > 0.0)
     if live.sum() > ERM_COLUMN_CAP:
         raise ResourceCapError(f"ERM over {live.sum()} live feature columns exceeds "
                                f"the cap of {ERM_COLUMN_CAP}; lower the order")
 
-    theta = np.zeros(len(box))
+    t = np.zeros(len(cols))
     if loss == "squared":
-        theta[live], n_iter, converged = _bvls(Phi[:, live], y, box[live], max_iter)
-        res = y - det_matvec(Phi, theta)
+        t[live], n_iter, converged = _bvls(Phi[:, live], y, lim[live], max_iter)
+        res = y - det_matvec(Phi, t)
         train_risk = float((res**2).mean())
         grad = -2.0 * det_matvec(Phi.T, res) / N
-        kkt = float(np.max(np.abs(theta - np.clip(theta - grad, -box, box))))
+        kkt = float(np.max(np.abs(t - np.clip(t - grad, -lim, lim)), initial=0.0))
         solver = "bvls"
     elif loss == "absolute":
-        theta[live], n_iter, converged, dual = _l1_simplex(Phi[:, live], y, box[live],
-                                                           max_iter)
-        res = y - det_matvec(Phi, theta)
+        t[live], n_iter, converged, dual = _l1_simplex(Phi[:, live], y, lim[live],
+                                                       max_iter)
+        res = y - det_matvec(Phi, t)
         train_risk = float(np.abs(res).mean())
         kkt = abs(train_risk - dual)
         solver = "l1-simplex"
     else:
         raise ValueError(f"unknown loss {loss!r}")
+    theta = np.zeros(len(box))
+    theta[cols] = t
 
     return FittedModel(
         sys=sys,

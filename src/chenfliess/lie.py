@@ -589,10 +589,11 @@ class LieTable:
 
     entry(()) is c^T x; entry(w + (i,)) = lie_derivative(entry(w), g_i).
     Entries are stored as canonical polynomials (polynomial(w)) and
-    rendered as Expr on request (entry(w)); evaluate(words, X) and
-    features(K, cols, X) are the feature kernel, and live(K) lists the
-    nonzero features. Equal entries share one row; zero entries are never
-    differentiated (their extensions are zero).
+    rendered as Expr on request (entry(w)). live(K) walks the nonzero
+    features, the entries for the reversed words, and gives their columns
+    and rows; _values(rows, X) evaluates those rows, and evaluate(words, X)
+    evaluates any words. Equal entries share one row; zero entries are
+    never differentiated (their extensions are zero).
     Construction is single-writer; built entries may be read concurrently.
     """
 
@@ -699,28 +700,6 @@ class LieTable:
                     f"{WORD_CAP}; lower the order")
         return (np.array(new_cols, dtype=np.intp), np.array(new_rows, dtype=np.intp),
                 new_words)
-
-    def features(self, K, cols, X):
-        """(N, len(cols)) array: the series feature of column cols[j] of
-        words_up_to(m, K) at X[i], which is the entry for the REVERSED word
-        (the pairing settled in chenfliess.series). The rows come from the
-        walk of live(K): every column takes the kept walk; other columns
-        walk the suffix closure of cols only, so only the entries they
-        need grow. A column the walk does not return is a zero entry, and
-        its feature is 0.0."""
-        cols = np.asarray(cols, dtype=np.intp)
-        X = np.asarray(X, dtype=float)
-        every = len(cols) == _column_count(self.sys.m, K) and np.array_equal(
-            cols, np.arange(len(cols)))
-        live, rows = self.live(K, None if every else suffix_closure(self.sys.m, K, cols))
-        out = np.zeros((X.shape[0], len(cols)))
-        if every:
-            out[:, live] = self._values(rows, X)
-        elif live.size:
-            at = np.minimum(np.searchsorted(live, cols), len(live) - 1)
-            hit = live[at] == cols
-            out[:, hit] = self._values(rows[at[hit]], X)
-        return out
 
     def _values(self, rows, X):
         """(N, len(rows)) values of the stored rows at the N points X[i].

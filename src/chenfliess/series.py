@@ -7,7 +7,7 @@ one a noncommuting bilinear system forces when the truncated series is
 required to reproduce the ODE solution (the mandatory bootstrap test in
 the suite): the channel at the EARLIEST simplex time is the OUTERMOST
 differentiation, so the feature paired with signature word w is the
-LieTable entry for the reversed word (LieTable.features).
+LieTable entry for the reversed word (feature_matrix).
 """
 
 from __future__ import annotations
@@ -52,13 +52,25 @@ class OdeBlowupError(RuntimeError):
 
 def feature_matrix(sys, X, K, lie_table=None):
     """(words, Phi) with Phi[i, j] the feature of word words[j] at X[i],
-    so a coefficient vector is comparable with a signature."""
+    so a coefficient vector is comparable with a signature: the live
+    block of _live_features, scattered into zeros."""
     check_word_cap(sys.m, K)
+    cols, live = _live_features(sys, X, K, lie_table)
+    words = words_up_to(sys.m, K)
+    Phi = np.zeros((live.shape[0], len(words)))
+    Phi[:, cols] = live
+    return words, Phi
+
+
+def _live_features(sys, X, K, lie_table=None):
+    """(cols, Phi): the sorted, suffix-closed columns of LieTable.live(K),
+    the only ones whose feature can be nonzero, and Phi[i, j] the feature
+    of column cols[j] at X[i] (the entry for the REVERSED word)."""
     if lie_table is None:
         lie_table = LieTable(sys)
     X = _points(sys, X)
-    words = words_up_to(sys.m, K)
-    return words, _finite(lie_table.features, K, np.arange(len(words)), X)
+    cols, rows = lie_table.live(K)
+    return cols, _finite(lie_table._values, rows, X)
 
 
 def _points(sys, X):

@@ -723,6 +723,47 @@ def test_experiment_reproducible():
     assert report_to_json(a) == report_to_json(b)
 
 
+@pytest.mark.parametrize("name", ["bilinear2d", "analytic1d", "hopfield2"])
+@pytest.mark.parametrize("loss", ["squared", "absolute"])
+def test_learning_pairs_only_the_live_features(monkeypatch, name, loss):
+    # planted labels, ERM and predict never build the N x W feature matrix,
+    # and pairing the live columns agrees with the full-width pairing to
+    # within 4 eps sum_j |Phi_ij theta_j| at every point
+    datasets, fits = [], []
+
+    def keep(fn, into):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            into.append(out)
+            return out
+        return wrapped
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("learning built the full-width feature matrix")
+
+    monkeypatch.setattr(learning, "feature_matrix", refuse)
+    monkeypatch.setattr(learning, "make_dataset", keep(learning.make_dataset, datasets))
+    monkeypatch.setattr(learning, "erm_fit", keep(learning.erm_fit, fits))
+    generalization_experiment({"system": name, "order": 4, "loss": loss, "seed": 3,
+                               "n_train": 60, "n_test": 60, "n_controls": 16,
+                               "n_eps": 16})
+    monkeypatch.undo()
+    (model,) = fits
+    (train, planted), (test, _) = datasets
+    eps = np.finfo(float).eps
+
+    def close(got, X, coef):
+        terms = feature_matrix(model.sys, X, 4)[1] * coef
+        want = np.array([math.fsum(row) for row in terms])
+        assert np.all(np.abs(got - want) <= 4 * eps * np.abs(terms).sum(axis=1))
+
+    for data in (train, test):
+        close(data.y, data.x, signature_matrix([planted], 4)[0])
+        close(model.predict(data.x), data.x, model.theta)
+    # y - residual is predict at the training points, bit for bit
+    assert model.train_risk == model.risk(train.x, train.y)
+
+
 def test_experiment_zero_horizon_constant_class(tmp_path):
     # T = 0 degenerates the class to multiples of c^T x
     spec_dict = {

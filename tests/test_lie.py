@@ -450,6 +450,7 @@ def test_one_word_cap(monkeypatch):
     feature_matrix(sys, [[0.1, 0.2]], 5)
     for call in (lambda: feature_matrix(sys, [[0.1, 0.2]], 6),
                  lambda: chen_fliess_eval(sys, (0.1, 0.2), u, 6),
+                 lambda: erm_fit(Dataset([[0.1, 0.2]], [0.0], sys.r, 1.0), sys, 6),
                  lambda: signature_matrix([u], 6),
                  lambda: lambda_k(sys, 6),
                  lambda: LieTable(sys).ensure_depth(6)):

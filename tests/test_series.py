@@ -165,12 +165,10 @@ def test_order_sweep_on_one_table_is_a_fresh_table_per_order():
 def test_one_point_memo_follows_the_point_and_the_table():
     sys = bilinear_system([[[0.0, 1.0], [0.5, 0.2]], [[0.3, -0.7], [0.4, 0.1]]],
                           c=(1.0, 0.0), r=1.0, M=1.0, T=1.0)
-    words = words_up_to(sys.m, 6)
-    cols = np.arange(len(words))
     table = LieTable(sys)
 
     def fresh(K, X):
-        return LieTable(sys).features(K, cols[:2 ** (K + 1) - 1], X).tobytes()
+        return feature_matrix(sys, X, K, lie_table=LieTable(sys))[1].tobytes()
 
     # the feature of word (1,) is x2, so the two points differ in sign only there
     plus, minus = np.array([[0.3, 0.0]]), np.array([[0.3, -0.0]])
@@ -178,13 +176,13 @@ def test_one_point_memo_follows_the_point_and_the_table():
     sizes = []
     for K, X in ((2, plus), (2, minus), (2, plus), (4, plus), (6, plus), (6, minus),
                  (3, plus)):
-        assert table.features(K, cols[:2 ** (K + 1) - 1], X).tobytes() == fresh(K, X)
+        assert feature_matrix(sys, X, K, lie_table=table)[1].tobytes() == fresh(K, X)
         sizes.append(len(table._ring.polys))
     assert sizes == [8, 8, 8, 32, 128, 128, 128]  # the table grows between calls
     # N > 1 takes the batch path: the same bytes as a fresh table
     X = np.array([[0.3, 0.0], [0.1, -0.2], [0.3, -0.0]])
-    assert (table.features(6, cols, X).tobytes()
-            == LieTable(sys).features(6, cols, X).tobytes())
+    assert (feature_matrix(sys, X, 6, lie_table=table)[1].tobytes()
+            == feature_matrix(sys, X, 6, lie_table=LieTable(sys))[1].tobytes())
     for shared in (table, LieTable(sys)):
         got = feature_matrix(sys, X, 5, lie_table=shared)[1]
         assert got.tobytes() == LieTable(sys).evaluate(
